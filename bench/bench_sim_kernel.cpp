@@ -4,9 +4,14 @@
 // before/after is one run. Three synthetic cases exercise the hot paths —
 // schedule/fire churn, schedule/cancel churn, a periodic-activity storm —
 // and one end-to-end case times a full Fig. 9 triangular episode pair on
-// the production kernel. Prints ns/event & events/sec, cross-checks that
-// both kernels fire in the identical order (checksum), and writes
+// the production kernel. A bus frame-train case streams frames through
+// net::Ethernet twice: once on the calendar (a no-op post-event hook makes
+// every frame end a heap event) and once with frame trains advancing the
+// clock in place (Simulator::advanceTo); its "events" are wire frames.
+// Prints ns/event & events/sec, cross-checks that both kernels of each
+// pair fire in the identical order (checksum), and writes
 // bench_out/sim_kernel.csv.
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +28,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "net/ethernet.hpp"
 #include "sim/simulator.hpp"
 
 namespace rtdrm::bench {
@@ -281,6 +287,44 @@ CaseResult stormCase(std::uint64_t k, double horizon_ms) {
   return r;
 }
 
+/// Bus frame train: one NIC streams `messages` 1000-MTU messages with no
+/// marshalling stage, so every frame end except each message's last is the
+/// next event due. `force_calendar` installs a no-op post-event hook, which
+/// makes every advance refuse and sends each frame end through the heap.
+/// Counts wire frames, so ns/event reads as ns/frame; the checksum folds
+/// every receipt's delivery time, so both paths must agree bit for bit.
+CaseResult frameTrainCase(std::uint64_t messages, bool force_calendar) {
+  CaseResult r;
+  for (int rep = 0; rep < 3; ++rep) {
+    sim::Simulator sim;
+    if (force_calendar) {
+      sim.setPostEventHook([] {});
+    }
+    net::EthernetConfig cfg;
+    cfg.host_ns_per_byte = 0.0;
+    net::Ethernet bus(sim, 2, cfg);
+    std::uint64_t sum = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < messages; ++i) {
+      bus.send(net::Message{ProcessorId{0}, ProcessorId{1},
+                            cfg.mtu * 1000.0, "train",
+                            [&sum](const net::MessageReceipt& rc) {
+                              sum = sum * 31 + std::bit_cast<std::uint64_t>(
+                                                   rc.delivered.ms());
+                            }});
+    }
+    sim.runAll();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    if (rep == 0 || dt.count() < r.best_sec) {
+      r.best_sec = dt.count();
+    }
+    r.events = bus.framesOnWire();
+    r.checksum = sum;
+  }
+  return r;
+}
+
 /// End-to-end: one Fig. 9 triangular episode pair (both algorithms) at a
 /// mid-sweep workload on the production kernel. No legacy counterpart —
 /// the stack links only one kernel — so this row tracks wall clock across
@@ -319,7 +363,7 @@ struct Row {
 
 void printRow(const Row& row) {
   std::cout << "  " << std::left << std::setw(16) << row.case_name
-            << std::setw(8) << row.kernel << std::right << std::setw(12)
+            << std::setw(10) << row.kernel << std::right << std::setw(12)
             << row.res.events << std::setw(12) << std::fixed
             << std::setprecision(1) << row.res.nsPerEvent() << std::setw(14)
             << std::setprecision(2) << row.res.eventsPerSec() / 1e6 << "\n";
@@ -358,9 +402,11 @@ int main(int argc, char** argv) {
   rows.push_back({"timer", "slab", timerCase<sim::Simulator>(kWaves, kBatch)});
   rows.push_back({"storm", "legacy", stormCase<legacy::Simulator>(256, 4000.0)});
   rows.push_back({"storm", "slab", stormCase<sim::Simulator>(256, 4000.0)});
+  rows.push_back({"bus frame train", "calendar", frameTrainCase(200, true)});
+  rows.push_back({"bus frame train", "advance", frameTrainCase(200, false)});
 
   std::cout << "\nEvent kernel microbench (best of 3)\n";
-  std::cout << "  " << std::left << std::setw(16) << "case" << std::setw(8)
+  std::cout << "  " << std::left << std::setw(16) << "case" << std::setw(10)
             << "kernel" << std::right << std::setw(12) << "events"
             << std::setw(12) << "ns/event" << std::setw(14) << "Mevents/s"
             << "\n";
@@ -369,7 +415,8 @@ int main(int argc, char** argv) {
   }
 
   bool ok = true;
-  std::cout << "\nSpeedups (legacy / slab) and fire-order cross-check:\n";
+  std::cout << "\nSpeedups (legacy / slab, calendar / advance) and "
+               "fire-order cross-check:\n";
   for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
     const auto& legacy_row = rows[i];
     const auto& slab_row = rows[i + 1];

@@ -567,6 +567,9 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
              static_cast<double>(scenario.detector.max_retries + 1) *
                  scenario.detector.interval.ms()) +
       2.0 * scenario.spec.period.ms();
+  // Declared before the oracle so it is destroyed after it: the oracle's
+  // destructor detaches itself from the injector it watches.
+  std::unique_ptr<fault::FaultInjector> injector;
   InvariantOracle oracle(oracle_config);
   oracle.watch(testbed.sim());
   oracle.watch(testbed.cluster());
@@ -608,7 +611,6 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
   // detector drives the manager's failover, and the oracle times recovery.
   // With an empty plan nothing below exists and the run is byte-identical
   // to a faultless build.
-  std::unique_ptr<fault::FaultInjector> injector;
   std::unique_ptr<fault::FailureDetector> detector;
   std::unique_ptr<fault::FailureDetector> mgr_detector;
   if (!scenario.faults.empty()) {

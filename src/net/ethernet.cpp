@@ -84,8 +84,16 @@ SimDuration Ethernet::frameTime(const Pending& p) const {
 }
 
 void Ethernet::arbitrate() {
+  const std::size_t nic = startFrame();
+  if (nic != kIdle) {
+    const SimTime end = sim_.now() + frameTime(nics_[nic].front());
+    sim_.scheduleAt(end, [this, nic] { onFrameEnd(nic); });
+  }
+}
+
+std::size_t Ethernet::startFrame() {
   if (bus_busy_) {
-    return;
+    return kIdle;
   }
   // Round-robin scan for a backlogged NIC, starting after the last served.
   const std::size_t n = nics_.size();
@@ -103,12 +111,32 @@ void Ethernet::arbitrate() {
     busy_since_ = sim_.now();
     rr_next_ = (nic + 1) % n;
     ++frames_;
-    sim_.scheduleAfter(frameTime(p), [this, nic] { onFrameEnd(nic); });
-    return;
+    return nic;
   }
+  return kIdle;
 }
 
 void Ethernet::onFrameEnd(std::size_t nic) {
+  // Frame train: while the next frame's end is the next event the
+  // calendar would fire, advance the clock to it in place instead of a
+  // heap push and pop per frame. Iterative, so a long train never grows
+  // the stack; this callback is the only caller, so the advance is always
+  // in tail position.
+  for (;;) {
+    finishFrame(nic);
+    nic = startFrame();
+    if (nic == kIdle) {
+      return;
+    }
+    const SimTime end = sim_.now() + frameTime(nics_[nic].front());
+    if (!sim_.advanceTo(end)) {
+      sim_.scheduleAt(end, [this, nic] { onFrameEnd(nic); });
+      return;
+    }
+  }
+}
+
+void Ethernet::finishFrame(std::size_t nic) {
   RTDRM_ASSERT(bus_busy_ && !nics_[nic].empty());
   busy_accum_ += sim_.now() - busy_since_;
   bus_busy_ = false;
@@ -124,7 +152,6 @@ void Ethernet::onFrameEnd(std::size_t nic) {
     // The chunk was never applied and the message stays at the head of its
     // NIC queue, so the link layer retransmits on the next bus grant.
     ++frames_lost_;
-    arbitrate();
     return;
   }
   // A duplicate re-sends the frame just serialized; its wire time must be
@@ -158,15 +185,14 @@ void Ethernet::onFrameEnd(std::size_t nic) {
   if (fate == FrameFate::kDuplicate) {
     // The spurious copy occupies the wire for the same frame time. The
     // receiver already accepted the original, so the copy is discarded on
-    // arrival: no second receipt, chunk, or payload attribution.
+    // arrival: no second receipt, chunk, or payload attribution. The bus
+    // stays busy, so the caller's arbitration finds nothing to start.
     ++frames_;
     ++frames_duplicated_;
     bus_busy_ = true;
     busy_since_ = sim_.now();
     sim_.scheduleAfter(dup_time, [this] { onDuplicateEnd(); });
-    return;
   }
-  arbitrate();
 }
 
 void Ethernet::onDuplicateEnd() {

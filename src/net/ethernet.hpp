@@ -10,6 +10,12 @@
 // its last frame arrives. The paper's buffer delay Dbuf (eq. 5) *emerges*
 // here as the head-of-line wait behind other periods' traffic, and its
 // transmission delay Dtrans (eq. 6) as the serialization time.
+//
+// Frame trains skip the calendar: when a frame ends and the next one's end
+// is the next event due, onFrameEnd advances the clock in place
+// (sim::Simulator::advanceTo) instead of scheduling it. The schedule of
+// fired events, receipts and counters is the same as with one calendar
+// event per frame; only sim.events_scheduled drops.
 #pragma once
 
 #include <cstdint>
@@ -129,9 +135,20 @@ class Ethernet final : public NetworkModel {
     bool started = false;
   };
 
-  /// Begin serializing the next frame if the bus is idle and work exists.
+  /// startFrame()'s "no frame started": the bus is busy or every NIC
+  /// queue is empty.
+  static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+
+  /// Begin serializing the next frame if the bus is idle and work exists,
+  /// and schedule its end.
   void arbitrate();
+  /// Puts the next frame on the wire if the bus is idle and work exists;
+  /// returns its NIC, or kIdle. The caller owns the frame-end event.
+  std::size_t startFrame();
+  /// Frame-end event: finishes the frame and runs the train that follows.
   void onFrameEnd(std::size_t nic);
+  /// Applies the fate of the frame that just ended on `nic`.
+  void finishFrame(std::size_t nic);
   /// A duplicated frame's copy finished its (pure-accounting) wire time.
   void onDuplicateEnd();
   /// Wire time of the next frame of `p` (overhead + clamped payload chunk).

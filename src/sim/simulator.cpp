@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -13,6 +14,20 @@ namespace {
 // fewer levels; the 4-way child scan stays within two cache lines.
 constexpr std::size_t kArity = 4;
 }  // namespace
+
+class Simulator::RunScope {
+ public:
+  RunScope(Simulator& sim, RunContext ctx) : sim_(sim), saved_(sim.run_) {
+    sim_.run_ = ctx;
+  }
+  ~RunScope() { sim_.run_ = saved_; }
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+ private:
+  Simulator& sim_;
+  RunContext saved_;
+};
 
 std::uint32_t Simulator::acquireSlot() {
   if (free_head_ != kNoSlot) {
@@ -185,10 +200,28 @@ bool Simulator::fireHead() {
   return true;
 }
 
+bool Simulator::advanceTo(SimTime t) {
+  if (!run_.active || post_hook_ != nullptr || stopPending() || t < now_) {
+    return false;
+  }
+  const double t_ms = t.ms();
+  if (run_.inclusive ? t_ms > run_.limit_ms : t_ms >= run_.limit_ms) {
+    return false;  // the run loop would leave this event pending
+  }
+  SimTime next;
+  if (peekNextEvent(&next) && !(t_ms < next.ms())) {
+    return false;  // another event is due first, or ties on seq
+  }
+  now_ = t;
+  ++events_executed_;
+  return true;
+}
+
 bool Simulator::runUntil(SimTime until) {
   if (consumeStop()) {
     return false;  // stop requested between runs: honor it, fire nothing
   }
+  const RunScope scope(*this, RunContext{true, true, until.ms()});
   while (!heap_.empty() && heap_[0].time_ms <= until.ms()) {
     if (fireHead() && consumeStop()) {
       return false;  // clock stays at the event that requested the stop
@@ -204,6 +237,7 @@ bool Simulator::runUntilBefore(SimTime before) {
   if (consumeStop()) {
     return false;  // stop requested between runs: honor it, fire nothing
   }
+  const RunScope scope(*this, RunContext{true, false, before.ms()});
   while (!heap_.empty() && heap_[0].time_ms < before.ms()) {
     if (fireHead() && consumeStop()) {
       return false;  // clock stays at the event that requested the stop
@@ -219,6 +253,9 @@ bool Simulator::runAll() {
   if (consumeStop()) {
     return false;
   }
+  const RunScope scope(
+      *this,
+      RunContext{true, true, std::numeric_limits<double>::infinity()});
   while (!heap_.empty()) {
     if (fireHead() && consumeStop()) {
       return false;
@@ -253,6 +290,8 @@ void Simulator::exportMetrics(obs::MetricsRegistry& reg) const {
 }
 
 bool Simulator::step() {
+  // A single-event run: nothing may fast-forward past the one event.
+  const RunScope scope(*this, RunContext{});
   // Skip over stale entries so "step" always means "execute one live event".
   while (!heap_.empty()) {
     if (fireHead()) {

@@ -103,6 +103,37 @@ class Simulator {
   /// Unaffected by requestStop(): step() is already a single-event run.
   bool step();
 
+  /// Tail-position fast-forward: moves the clock to `t` without touching
+  /// the calendar, as if an event scheduled at `t` had just been popped.
+  /// Succeeds only when that is exactly what the calendar would have done:
+  ///   * a run loop (runUntil, runUntilBefore, runAll) is executing the
+  ///     current callback — not step(), and not between runs;
+  ///   * now() <= t, and t lies inside the active run's horizon (<= until
+  ///     for runUntil, < before for runUntilBefore);
+  ///   * t is strictly earlier than the next live event (peekNextEvent);
+  ///   * no post-event hook is installed and no stop is pending.
+  /// On success it sets the clock to `t`, counts one executed event and
+  /// takes no sequence number; on failure it changes nothing (except
+  /// pruning stale heads, as peekNextEvent does) and the caller schedules
+  /// the event instead.
+  ///
+  /// Why it is equivalent: with those conditions the calendar would pop
+  /// the event at `t` as soon as the current callback returned — no other
+  /// event is due first, no hook or stop check runs in between, and the
+  /// run loop's horizon admits it. Sequence numbers only break ties
+  /// between events at equal times, and the strict `<` rules out any tie
+  /// with an event already pending; events scheduled afterwards get
+  /// increasing sequence numbers either way, so their relative order is
+  /// unchanged. Skipping the number the elided event would have taken is
+  /// a monotone relabeling, invisible to every comparison.
+  ///
+  /// Tail-position rule: call it only as the last thing a callback you
+  /// own does before carrying on as the advanced event (typically a loop
+  /// whose next iteration is the event's body). Anything the current
+  /// callback still does after a successful advance runs at time `t`, so
+  /// code reached from someone else's callback must keep scheduling.
+  bool advanceTo(SimTime t);
+
   /// Time of the next live event without executing it; false when the
   /// calendar is empty. Prunes stale (cancelled) heads as a side effect,
   /// so the answer is exact, not an upper bound. The sharded engine sizes
@@ -193,6 +224,16 @@ class Simulator {
   /// Pops the head entry; executes it unless stale. Returns true when a
   /// live event ran. Pre: heap non-empty.
   bool fireHead();
+
+  /// Run-loop context that advanceTo() checks. Each run entry point
+  /// installs its own (step() installs "no run") and restores the
+  /// enclosing one on exit, so nested runs stay exact.
+  struct RunContext {
+    bool active = false;     // inside runUntil/runUntilBefore/runAll
+    bool inclusive = true;   // horizon admits events exactly at limit_ms
+    double limit_ms = 0.0;   // +inf for runAll
+  };
+  class RunScope;
   /// Consumes a pending stop request; returns true if one was pending.
   bool consumeStop() {
     // Cheap fast path: loads dodge the RMW until a stop is actually seen.
@@ -210,6 +251,7 @@ class Simulator {
   std::uint64_t events_cancelled_ = 0;
   std::size_t peak_heap_depth_ = 0;
   std::atomic<bool> stop_requested_{false};
+  RunContext run_;
 
   std::vector<Slot> slots_;           // slab; index == slot id
   std::uint32_t free_head_ = kNoSlot; // head of the freed-slot list
