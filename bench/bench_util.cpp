@@ -16,10 +16,8 @@ const task::TaskSpec& aawSpec() {
 
 std::string runContextJson() {
   const parallel::Config& c = parallel::config();
-  return "\"threads\": " + std::to_string(c.threads) + ", \"sim_mode\": \"" +
-         parallel::simModeName(c.sim_mode) + "\", \"lookahead\": \"" +
-         parallel::lookaheadPolicyName(c.lookahead) +
-         "\", \"cpu_count\": " + std::to_string(c.cpu_count);
+  return "\"threads\": " + std::to_string(c.threads) +
+         ", \"cpu_count\": " + std::to_string(c.cpu_count);
 }
 
 const experiments::FittedModelSet& fittedModels() {

@@ -21,9 +21,9 @@ const task::TaskSpec& aawSpec();
 
 /// Execution-context JSON fragment every emitted BENCH_*.json `config`
 /// block carries so recorded numbers stay interpretable on any machine:
-///   "threads": 4, "sim_mode": "det", "lookahead": "adaptive", "cpu_count": 8
-/// Reads the live parallel::config(), so call it after any --threads /
-/// --sim-mode / --lookahead flags have been applied.
+///   "threads": 4, "cpu_count": 8
+/// Reads the live parallel::config(), so call it after any --threads flag
+/// has been applied.
 std::string runContextJson();
 
 /// Models fitted with the full paper grids (computed once per process).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates the checked-in golden decision traces from the current build:
-#   tests/obs/golden/decision_trace.txt          (centralized episode)
-#   tests/obs/golden/decision_trace_sharded.txt  (2-manager failover episode)
+#   tests/obs/golden/decision_trace.txt        (centralized episode)
+#   tests/obs/golden/decision_trace_plane.txt  (2-manager failover episode)
 #
 # Run after an *intentional* change to the predictive growth loop, the
 # threshold heuristic, the monitor's decision sequence, or the management
@@ -23,13 +23,13 @@ fi
 cmake --build "$BUILD_DIR" --target test_obs -j
 
 GOLDEN=tests/obs/golden/decision_trace.txt
-GOLDEN_SHARDED=tests/obs/golden/decision_trace_sharded.txt
+GOLDEN_PLANE=tests/obs/golden/decision_trace_plane.txt
 RTDRM_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_obs" \
   --gtest_filter='GoldenTrace.DecisionAuditMatchesGoldenFile'
 RTDRM_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_obs" \
-  --gtest_filter='GoldenTrace.ShardedPlaneDecisionAuditMatchesGoldenFile'
+  --gtest_filter='GoldenTrace.PlaneFailoverDecisionAuditMatchesGoldenFile'
 
 echo
 echo "regenerated $GOLDEN ($(wc -l < "$GOLDEN") lines) and"
-echo "  $GOLDEN_SHARDED ($(wc -l < "$GOLDEN_SHARDED") lines); review with:"
-echo "  git diff -- $GOLDEN $GOLDEN_SHARDED"
+echo "  $GOLDEN_PLANE ($(wc -l < "$GOLDEN_PLANE") lines); review with:"
+echo "  git diff -- $GOLDEN $GOLDEN_PLANE"

@@ -29,12 +29,11 @@ net::SwitchedFabric& Scenario::fabric() {
 Scenario::Scenario(const ScenarioConfig& config)
     : config_(config),
       streams_(config.seed),
-      engine_(engineConfig(config)),
-      cluster_(engine_, config.node_count, config.cpu, config.node_speeds),
-      net_(makeNet(engine_.control(), config)),
-      clocks_(engine_.control(), config.node_count,
-              streams_.get("clock-fabric"), config.clock_sync),
-      net_probe_(engine_.control(), *net_) {
+      cluster_(sim_, config.node_count, config.cpu, config.node_speeds),
+      net_(makeNet(sim_, config)),
+      clocks_(sim_, config.node_count, streams_.get("clock-fabric"),
+              config.clock_sync),
+      net_probe_(sim_, *net_) {
   // Belt and braces: every Processor constructor already validated its own
   // copy; this re-check keeps the contract even if the cluster seam ever
   // stops forwarding the config verbatim.

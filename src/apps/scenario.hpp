@@ -9,13 +9,11 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "net/clock_sync.hpp"
 #include "net/ethernet.hpp"
 #include "net/fabric.hpp"
 #include "node/cluster.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "task/runtime.hpp"
 
@@ -44,20 +42,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 42;
   /// Start the clock synchronization service on construction.
   bool start_clock_sync = true;
-  /// Event-kernel shards (1 = the legacy single queue, byte-identical to
-  /// every run before sharding existed; K > 1 = shard 0 keeps the control
-  /// plane and shards 1..K-1 split the nodes). The barrier lookahead is
-  /// sized from `ethernet` (minCrossShardLatency()).
-  std::size_t sim_shards = 1;
-  /// Window mode for sharded execution (ignored when sim_shards == 1).
-  parallel::SimMode sim_mode = parallel::SimMode::kDeterministic;
-  /// Barrier-window sizing policy for sharded execution. Adaptive and
-  /// static runs are digest-identical; adaptive executes far fewer
-  /// barrier rounds (ignored when sim_shards == 1).
-  parallel::LookaheadPolicy sim_lookahead = parallel::LookaheadPolicy::kAdaptive;
-  /// Sync-point cadence for barrier hooks (busy-snapshot refresh) in
-  /// sharded execution; bounds cross-shard snapshot staleness.
-  SimDuration sim_sync_interval = SimDuration::millis(1.0);
 };
 
 class Scenario {
@@ -67,12 +51,8 @@ class Scenario {
   Scenario& operator=(const Scenario&) = delete;
 
   const ScenarioConfig& config() const { return config_; }
-  /// The control-plane simulator (the only one when sim_shards == 1).
-  sim::Simulator& sim() { return engine_.control(); }
-  /// The event engine. Always present; a 1-shard engine is the legacy
-  /// single-queue path.
-  sim::ShardedEngine& engine() { return engine_; }
-  bool sharded() const { return engine_.shardCount() > 1; }
+  /// The one event calendar every substrate runs on.
+  sim::Simulator& sim() { return sim_; }
   node::Cluster& cluster() { return cluster_; }
   /// The network substrate, whichever kind the config selected.
   net::NetworkModel& net() { return *net_; }
@@ -85,32 +65,14 @@ class Scenario {
   RngStreams& streams() { return streams_; }
   net::NetworkProbe& netProbe() { return net_probe_; }
 
-  /// Advance the whole testbed — all shards, barrier-synchronized when
-  /// sharded. Drivers must use this (or engine()) rather than
-  /// sim().runFor(), which would advance only the control shard.
-  void runFor(SimDuration d) { engine_.runFor(d); }
-  void runUntil(SimTime t) { engine_.runUntil(t); }
+  /// Advance the whole testbed by `d` from the current clock.
+  void runFor(SimDuration d) { sim_.runFor(d); }
 
   task::Runtime runtime() {
-    return task::Runtime{engine_.control(), cluster_, *net_, clocks_,
-                         sharded() ? &engine_ : nullptr};
+    return task::Runtime{sim_, cluster_, *net_, clocks_};
   }
 
  private:
-  static sim::ShardedConfig engineConfig(const ScenarioConfig& config) {
-    sim::ShardedConfig ec;
-    ec.shards = config.sim_shards == 0 ? 1 : config.sim_shards;
-    ec.mode = config.sim_mode;
-    ec.policy = config.sim_lookahead;
-    // Conservative barrier lookahead from the selected substrate: the
-    // fabric-wide minimum cross-node path when switched, the single-hop
-    // bound on the bus (the fabric's strictly dominates the bus's).
-    ec.lookahead = config.net_kind == net::NetKind::kSwitched
-                       ? fabricConfig(config).minCrossShardLatency()
-                       : config.ethernet.minCrossShardLatency();
-    ec.sync_interval = config.sim_sync_interval;
-    return ec;
-  }
   static net::SwitchedFabricConfig fabricConfig(const ScenarioConfig& config) {
     net::SwitchedFabricConfig fc = config.fabric;
     fc.link = config.ethernet;
@@ -121,7 +83,7 @@ class Scenario {
 
   ScenarioConfig config_;
   RngStreams streams_;
-  sim::ShardedEngine engine_;
+  sim::Simulator sim_;
   node::Cluster cluster_;
   std::unique_ptr<net::NetworkModel> net_;
   net::ClockFabric clocks_;

@@ -500,8 +500,7 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
 }
 
 FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
-                           obs::Observability* obs,
-                           const FuzzExecConfig& exec) {
+                           obs::Observability* obs) {
   apps::ScenarioConfig sc;
   sc.node_count = scenario.node_count;
   sc.seed = scenario.seed;
@@ -510,9 +509,6 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
   sc.fabric = scenario.fabric;
   // The fuzz plan drives per-node targets itself.
   sc.ambient_load = Utilization::zero();
-  sc.sim_shards = exec.sim_shards;
-  sc.sim_mode = exec.sim_mode;
-  sc.sim_lookahead = exec.lookahead;
   apps::Scenario testbed(sc);
 
   for (std::size_t i = 0; i < scenario.node_count; ++i) {
@@ -524,14 +520,12 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
     if (step.period >= scenario.periods) {
       continue;
     }
-    // setBackgroundTarget is cross-shard safe: direct on the legacy path,
-    // a barrier post when the node lives on another shard.
     testbed.sim().scheduleAt(
         SimTime::zero() +
             scenario.spec.period * static_cast<double>(step.period),
         [&cluster = testbed.cluster(), step] {
-          cluster.setBackgroundTarget(ProcessorId{step.node},
-                                      Utilization::fraction(step.target));
+          cluster.backgroundLoad(ProcessorId{step.node})
+              .setTarget(Utilization::fraction(step.target));
         });
   }
 
@@ -896,7 +890,7 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
 }
 
 FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
-                        bool with_faults, const FuzzExecConfig& exec,
+                        bool with_faults, const FuzzExecConfig& /*unused*/,
                         bool with_manager_faults, bool with_sched,
                         bool with_period_adjust, bool with_net_topology,
                         bool with_workload_mix) {
@@ -907,7 +901,7 @@ FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
   FuzzOutcome out;
   for (const AllocatorKind kind :
        {AllocatorKind::kPredictive, AllocatorKind::kNonPredictive}) {
-    const FuzzCaseResult first = runFuzzCase(scenario, kind, nullptr, exec);
+    const FuzzCaseResult first = runFuzzCase(scenario, kind);
     out.checks += first.checks;
     if (first.violations > 0) {
       out.invariants_ok = false;
@@ -919,7 +913,7 @@ FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
     }
     // Replay with the identical scenario: any divergence means hidden
     // nondeterminism (iteration order, uninitialized state, time leaks).
-    const FuzzCaseResult replay = runFuzzCase(scenario, kind, nullptr, exec);
+    const FuzzCaseResult replay = runFuzzCase(scenario, kind);
     if (replay.digest != first.digest) {
       out.deterministic = false;
       if (out.detail.empty()) {

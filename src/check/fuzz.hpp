@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "check/invariants.hpp"
-#include "common/parallel.hpp"
 #include "core/models.hpp"
 #include "fault/detector.hpp"
 #include "fault/plan.hpp"
@@ -196,20 +195,9 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink = {},
 enum class AllocatorKind { kPredictive, kNonPredictive };
 const char* allocatorKindName(AllocatorKind kind);
 
-/// How the event kernel executes a fuzz case. The default (one shard) is
-/// the legacy single-queue path every historical digest was produced on.
-/// With shards > 1 the testbed runs on the sharded engine; deterministic
-/// mode must produce the same digest for any worker-thread count — the
-/// determinism suite runs identical (seed, shards) pairs across
-/// parallel::setThreads() values and compares digests byte for byte.
-struct FuzzExecConfig {
-  std::size_t sim_shards = 1;
-  parallel::SimMode sim_mode = parallel::SimMode::kDeterministic;
-  /// Barrier-window sizing policy (sharded runs only). Digests must be
-  /// byte-identical across policies — the adaptive-vs-static parity suite
-  /// runs identical (seed, shards) pairs in both and compares.
-  parallel::LookaheadPolicy lookahead = parallel::LookaheadPolicy::kAdaptive;
-};
+/// Empty placeholder that keeps runFuzzSeed's positional signature stable
+/// for existing callers; it carries no execution options.
+struct FuzzExecConfig {};
 
 /// Outcome of one scenario run under one allocator.
 struct FuzzCaseResult {
@@ -234,8 +222,7 @@ struct FuzzCaseResult {
 /// `obs_mismatch`. The digest is computed identically either way — the
 /// neutrality tests rely on that.
 FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
-                           obs::Observability* obs = nullptr,
-                           const FuzzExecConfig& exec = {});
+                           obs::Observability* obs = nullptr);
 
 /// Aggregate verdict for one seed: both allocators, each run twice.
 struct FuzzOutcome {
@@ -250,7 +237,7 @@ struct FuzzOutcome {
 
 FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink = {},
                         bool with_faults = false,
-                        const FuzzExecConfig& exec = {},
+                        const FuzzExecConfig& /*unused*/ = {},
                         bool with_manager_faults = false,
                         bool with_sched = false,
                         bool with_period_adjust = false,

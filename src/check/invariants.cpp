@@ -478,12 +478,6 @@ void InvariantOracle::checkAllocation(const core::Allocator& allocator,
 }
 
 void InvariantOracle::checkBusyConservation(const node::Cluster& cluster) {
-  // Sharded clusters run their processors on other threads; the sweep may
-  // fire mid-shard-window, so direct accumulator reads would race. The
-  // single-threaded engine (and every unit test) covers the law.
-  if (cluster.sharded()) {
-    return;
-  }
   ++checks_run_;
   const double tol = config_.tolerance_ms;
   for (const ProcessorId id : cluster.ids()) {

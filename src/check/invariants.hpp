@@ -157,7 +157,6 @@ class InvariantOracle final : public core::ManagerObserver,
   /// Policy-agnostic CPU-time conservation on every processor of the
   /// cluster: busyTime() == demandServed() + schedOverhead() exactly while
   /// idle, and exceeds it by at most the in-flight span while busy.
-  /// Skipped for sharded clusters (processor state lives on other threads).
   void checkBusyConservation(const node::Cluster& cluster);
   /// The live release period must sit inside [spec.period,
   /// spec.effectiveMaxPeriod()].

@@ -15,8 +15,7 @@ namespace {
 
 /// The process-wide execution configuration behind parallel::config().
 /// Resolution order for the worker budget: explicit setThreads() override,
-/// else RTDRM_THREADS, else hardware_concurrency(). The sharded-sim mode
-/// likewise honors RTDRM_SIM_MODE until setSimMode() overrides it.
+/// else RTDRM_THREADS, else hardware_concurrency().
 parallel::Config& mutableConfig() {
   static parallel::Config cfg = [] {
     parallel::Config c;
@@ -26,18 +25,6 @@ parallel::Config& mutableConfig() {
       const long v = std::strtol(env, nullptr, 10);
       if (v > 0) {
         c.threads = static_cast<unsigned>(std::min<long>(v, 256));
-      }
-    }
-    if (const char* env = std::getenv("RTDRM_SIM_MODE")) {
-      parallel::SimMode mode;
-      if (parallel::parseSimMode(env, &mode)) {
-        c.sim_mode = mode;
-      }
-    }
-    if (const char* env = std::getenv("RTDRM_LOOKAHEAD")) {
-      parallel::LookaheadPolicy policy;
-      if (parallel::parseLookaheadPolicy(env, &policy)) {
-        c.lookahead = policy;
       }
     }
     return c;
@@ -223,44 +210,6 @@ void setThreads(unsigned n) {
     return;
   }
   mutableConfig().threads = n;
-}
-
-void setSimMode(SimMode mode) { mutableConfig().sim_mode = mode; }
-
-bool parseSimMode(const std::string& s, SimMode* out) {
-  if (s == "det" || s == "deterministic") {
-    *out = SimMode::kDeterministic;
-    return true;
-  }
-  if (s == "fast") {
-    *out = SimMode::kFast;
-    return true;
-  }
-  return false;
-}
-
-const char* simModeName(SimMode mode) {
-  return mode == SimMode::kDeterministic ? "det" : "fast";
-}
-
-void setLookaheadPolicy(LookaheadPolicy policy) {
-  mutableConfig().lookahead = policy;
-}
-
-bool parseLookaheadPolicy(const std::string& s, LookaheadPolicy* out) {
-  if (s == "static") {
-    *out = LookaheadPolicy::kStatic;
-    return true;
-  }
-  if (s == "adaptive") {
-    *out = LookaheadPolicy::kAdaptive;
-    return true;
-  }
-  return false;
-}
-
-const char* lookaheadPolicyName(LookaheadPolicy policy) {
-  return policy == LookaheadPolicy::kStatic ? "static" : "adaptive";
 }
 
 }  // namespace parallel

@@ -18,49 +18,18 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 
 namespace rtdrm {
 
 namespace parallel {
 
-/// How a sharded simulation advances its barrier windows (see
-/// sim::ShardedEngine, docs/parallel_engine.md).
-enum class SimMode {
-  /// Shards execute each window in fixed order with a canonical
-  /// cross-shard merge; results are byte-identical for any thread count.
-  /// Cross-shard posts inside the lookahead window are rejected.
-  kDeterministic,
-  /// Shards execute windows concurrently on the worker pool; in-window
-  /// cross-shard posts are clamped to the window barrier (bounded skew,
-  /// Graphite-style lax sync) instead of rejected.
-  kFast,
-};
-
-/// How a sharded simulation sizes its barrier windows (see
-/// sim::ShardedEngine and docs/architecture.md, "Parallel episode engine").
-enum class LookaheadPolicy {
-  /// Every shard runs the same global window [E, E + lookahead): the PR-6
-  /// conservative baseline. Kept as the regression reference.
-  kStatic,
-  /// Per-shard horizons: shard j runs to min over other shards i of
-  /// (next_i + lookahead), so quiescent co-shards let a busy shard widen
-  /// its window and idle shards skip windows entirely. Provably
-  /// conservative — digests are byte-identical to kStatic.
-  kAdaptive,
-};
-
 /// Process-wide execution configuration, resolved once from the
-/// environment (RTDRM_THREADS, RTDRM_SIM_MODE) at first use and
-/// overridable by command-line front ends (--threads / --sim-mode).
+/// environment (RTDRM_THREADS) at first use and overridable by
+/// command-line front ends (--threads).
 struct Config {
-  /// Worker budget for parallelFor and sharded-window execution
-  /// (>= 1; the calling thread counts as one worker).
+  /// Worker budget for parallelFor (>= 1; the calling thread counts as
+  /// one worker).
   unsigned threads = 1;
-  /// Default mode for sharded simulation engines.
-  SimMode sim_mode = SimMode::kDeterministic;
-  /// Default barrier-window sizing policy for sharded engines.
-  LookaheadPolicy lookahead = LookaheadPolicy::kAdaptive;
   /// std::thread::hardware_concurrency() at resolution time (>= 1);
   /// recorded into bench config blocks so results are interpretable.
   unsigned cpu_count = 1;
@@ -74,18 +43,6 @@ const Config& config();
 /// effect for subsequent parallelFor calls; the persistent pool grows on
 /// demand and never shrinks.
 void setThreads(unsigned n);
-/// Overrides the default sharded-simulation mode.
-void setSimMode(SimMode mode);
-/// Overrides the default barrier-window sizing policy.
-void setLookaheadPolicy(LookaheadPolicy policy);
-
-/// Parses "det"/"deterministic" or "fast". Returns false on anything else.
-bool parseSimMode(const std::string& s, SimMode* out);
-const char* simModeName(SimMode mode);
-
-/// Parses "static" or "adaptive". Returns false on anything else.
-bool parseLookaheadPolicy(const std::string& s, LookaheadPolicy* out);
-const char* lookaheadPolicyName(LookaheadPolicy policy);
 
 }  // namespace parallel
 

@@ -37,8 +37,8 @@ ManagementPlane::ManagementPlane(sim::Simulator& simulator,
 
 std::pair<std::size_t, std::size_t> ManagementPlane::partitionOf(
     std::uint32_t manager) const {
-  // Balanced node blocks via the same floor(i*M/N) mapping the sharded
-  // engine uses for its node shards: node i belongs to manager i*M/N.
+  // Balanced node blocks via the floor(i*M/N) mapping: node i belongs to
+  // manager i*M/N.
   const std::size_t n = cluster_.size();
   const std::size_t m = config_.managers;
   const std::size_t lo = (manager * n + m - 1) / m;

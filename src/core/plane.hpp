@@ -4,8 +4,7 @@
 // The paper's supervisory ResourceManager makes every Fig.-5/Fig.-7
 // decision from one place — a single point of failure. This plane splits
 // the management *state* over M manager endpoints, each owning a
-// contiguous node-block partition (the same floor(i*M/N) block mapping as
-// the PR-6 shard layout):
+// contiguous node-block partition (the floor(i*M/N) block mapping):
 //
 //   * every live endpoint samples its own partition's utilization
 //     privately each gossip interval and broadcasts a

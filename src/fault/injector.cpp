@@ -64,11 +64,11 @@ void FaultInjector::arm() {
     // Overlapping windows on one node apply last-write-wins per edge; the
     // fuzzer generates at most one window per node.
     sim_.scheduleAt(t.from, [this, t] {
-      cluster_.applySpeedFactor(t.node, t.factor);
+      cluster_.processor(t.node).setSpeedFactor(t.factor);
       ++throttle_edges_;
     });
     sim_.scheduleAt(t.until, [this, t] {
-      cluster_.applySpeedFactor(t.node, 1.0);
+      cluster_.processor(t.node).setSpeedFactor(1.0);
       ++throttle_edges_;
     });
   }

@@ -47,22 +47,6 @@ struct EthernetConfig {
   /// transmitted". 87.5 ns/B over 80 B tracks gives ~0.7 ms per hundred
   /// tracks — the slope the paper measured (Table 3).
   double host_ns_per_byte = 87.5;
-
-  /// Wire time of the shortest legal frame (min payload padded + overhead
-  /// bytes at the configured rate): no frame finishes faster.
-  SimDuration minFrameWireTime() const {
-    return rate.transmissionTime(min_payload + frame_overhead);
-  }
-
-  /// Minimum latency of any node-to-node interaction through this segment:
-  /// shortest frame's serialization plus propagation. This is the sharded
-  /// engine's conservative lookahead — a cause on one node cannot have an
-  /// effect on another sooner than this, so barrier windows of this width
-  /// can never reorder cross-node causality. (Local same-node hand-offs
-  /// bypass the wire but also never cross a shard.)
-  SimDuration minCrossShardLatency() const {
-    return minFrameWireTime() + propagation;
-  }
 };
 
 class Ethernet final : public NetworkModel {
@@ -97,12 +81,6 @@ class Ethernet final : public NetworkModel {
   /// cost. Pass nullptr to clear.
   void setFrameFateHook(FrameFateHook hook) override {
     frame_fate_hook_ = std::move(hook);
-  }
-
-  /// The sharded engine's conservative barrier lookahead (see
-  /// EthernetConfig::minCrossShardLatency()).
-  SimDuration minCrossShardLatency() const override {
-    return config_.minCrossShardLatency();
   }
 
   /// Cumulative wire-busy time (for utilization accounting).

@@ -64,17 +64,6 @@ struct SwitchedFabricConfig {
   /// Optional explicit host->segment map (size == node_count, values <
   /// segments). Empty selects the default contiguous ceil blocks.
   std::vector<std::uint32_t> node_segment;
-
-  /// Conservative lower bound on any cross-node interaction: the shortest
-  /// path is uplink + downlink (two serializations, two propagations) plus
-  /// one switch traversal. Every multi-segment path is longer, so barrier
-  /// windows of this width can never reorder cross-node causality — and it
-  /// strictly dominates the bus's single-hop bound.
-  SimDuration minCrossShardLatency() const {
-    return SimDuration::millis(2.0 * (link.minFrameWireTime().ms() +
-                                      link.propagation.ms()) +
-                               switch_latency.ms());
-  }
 };
 
 class SwitchedFabric final : public NetworkModel {
@@ -96,10 +85,6 @@ class SwitchedFabric final : public NetworkModel {
   /// exempt, as on the bus.
   void setFrameFateHook(FrameFateHook hook) override {
     frame_fate_hook_ = std::move(hook);
-  }
-
-  SimDuration minCrossShardLatency() const override {
-    return config_.minCrossShardLatency();
   }
 
   /// Cumulative busy time summed over every link (uplinks, downlinks,

@@ -4,16 +4,13 @@
 // 100 Mbps bus for other fabrics (net::SwitchedFabric) without touching the
 // consumers: the task runtime, the failure detector, the management plane,
 // the fault injector and the invariant oracle all program against this
-// interface. Three seams matter to the rest of the system:
+// interface. Two seams matter to the rest of the system:
 //
 //   * send()/broadcast()      — message transport with delivery receipts;
 //   * the frame-fate hook     — the fault injector's per-link loss/dup
 //                               decision point, generalized to a FrameHop
 //                               so faults can target (segment, port) on
-//                               multi-hop fabrics (the bus is one hop);
-//   * minCrossShardLatency()  — the sharded engine's conservative barrier
-//                               lookahead: no cause on one node may have an
-//                               effect on another sooner than this.
+//                               multi-hop fabrics (the bus is one hop).
 #pragma once
 
 #include <cstdint>
@@ -96,10 +93,6 @@ class NetworkModel {
   /// clear.
   using FrameFateHook = std::function<FrameFate(const FrameHop&)>;
   virtual void setFrameFateHook(FrameFateHook hook) = 0;
-
-  /// Minimum latency of any node-to-node interaction through this network:
-  /// the sharded engine's conservative barrier lookahead.
-  virtual SimDuration minCrossShardLatency() const = 0;
 
   // ---- counters (uniform across models; a model without a concept
   // reports 0 for it) ------------------------------------------------------

@@ -11,37 +11,6 @@ Cluster::Cluster(sim::Simulator& simulator, std::size_t node_count,
                  ProcessorConfig cpu_config,
                  const std::vector<double>& speeds)
     : sim_(simulator) {
-  buildNodes(node_count, cpu_config, speeds);
-}
-
-Cluster::Cluster(sim::ShardedEngine& engine, std::size_t node_count,
-                 ProcessorConfig cpu_config,
-                 const std::vector<double>& speeds)
-    : sim_(engine.control()) {
-  const std::size_t shards = engine.shardCount();
-  if (shards > 1) {
-    engine_ = &engine;
-    shard_of_.resize(node_count);
-    // Contiguous blocks over the data shards 1..K-1; shard 0 keeps the
-    // control plane (Ethernet, clocks, managers). Blocks, not striding,
-    // so a shard's processors share cache locality.
-    const std::size_t data_shards = shards - 1;
-    for (std::size_t i = 0; i < node_count; ++i) {
-      shard_of_[i] =
-          static_cast<std::uint32_t>(1 + (i * data_shards) / node_count);
-    }
-    up_state_.assign(node_count, 1);
-    busy_snapshot_.assign(node_count, SimDuration::zero());
-    sampled_busy_.assign(node_count, SimDuration::zero());
-    part_sample_t_.assign(node_count, SimTime::zero());
-    engine.addBarrierHook([this] { refreshBusySnapshot(); });
-  }
-  buildNodes(node_count, cpu_config, speeds);
-}
-
-void Cluster::buildNodes(std::size_t node_count,
-                         const ProcessorConfig& cpu_config,
-                         const std::vector<double>& speeds) {
   RTDRM_ASSERT(node_count > 0);
   RTDRM_ASSERT_MSG(speeds.empty() || speeds.size() == node_count,
                    "speeds must be empty or one per node");
@@ -54,8 +23,8 @@ void Cluster::buildNodes(std::size_t node_count,
       cfg.speed = speeds[i];
     }
     cpus_.push_back(std::make_unique<Processor>(
-        simOf(i), ProcessorId{static_cast<std::uint32_t>(i)}, cfg));
-    probes_.emplace_back(simOf(i), *cpus_.back());
+        sim_, ProcessorId{static_cast<std::uint32_t>(i)}, cfg));
+    probes_.emplace_back(sim_, *cpus_.back());
     ids_.push_back(ProcessorId{static_cast<std::uint32_t>(i)});
   }
   last_sample_.assign(node_count, Utilization::zero());
@@ -78,7 +47,7 @@ void Cluster::attachBackgroundLoad(const RngStreams& streams,
   bg_.reserve(cpus_.size());
   for (std::size_t i = 0; i < cpus_.size(); ++i) {
     bg_.push_back(std::make_unique<BackgroundLoad>(
-        simOf(i), *cpus_[i], streams.get("bg-load", i), config));
+        sim_, *cpus_[i], streams.get("bg-load", i), config));
   }
 }
 
@@ -89,82 +58,26 @@ BackgroundLoad& Cluster::backgroundLoad(ProcessorId id) {
 
 void Cluster::setNodeUp(ProcessorId id, bool up) {
   RTDRM_ASSERT(id.value < cpus_.size());
-  if (nodeUp(id.value) == up) {
+  if (cpus_[id.value]->isUp() == up) {
     return;
   }
-  if (engine_) {
-    // Record the membership change here (the control plane's view flips
-    // immediately and deterministically), and post the processor-side
-    // transition — crash aborts of resident jobs, busy-time freeze — to
-    // the owning shard; it lands within one barrier window.
-    up_state_[id.value] = up ? 1 : 0;
-    Processor* cpu = cpus_[id.value].get();
-    engine_->post(0, shard_of_[id.value], engine_->postHorizon(0),
-                  [cpu, up] { cpu->setUp(up); });
-  } else {
-    cpus_[id.value]->setUp(up);
-  }
+  cpus_[id.value]->setUp(up);
   // The membership of the index changed mid-sample: invalidate it (and any
   // outstanding cursors, via their generation guard).
   ++sample_generation_;
 }
 
-void Cluster::applySpeedFactor(ProcessorId id, double factor) {
-  RTDRM_ASSERT(id.value < cpus_.size());
-  if (engine_) {
-    Processor* cpu = cpus_[id.value].get();
-    engine_->post(0, shard_of_[id.value], engine_->postHorizon(0),
-                  [cpu, factor] { cpu->setSpeedFactor(factor); });
-    return;
-  }
-  cpus_[id.value]->setSpeedFactor(factor);
-}
-
-void Cluster::setBackgroundTarget(ProcessorId id, Utilization target) {
-  RTDRM_ASSERT(hasBackgroundLoad() && id.value < bg_.size());
-  if (engine_) {
-    BackgroundLoad* bg = bg_[id.value].get();
-    engine_->post(0, shard_of_[id.value], engine_->postHorizon(0),
-                  [bg, target] { bg->setTarget(target); });
-    return;
-  }
-  bg_[id.value]->setTarget(target);
-}
-
 std::size_t Cluster::upCount() const {
   std::size_t n = 0;
   for (std::size_t i = 0; i < cpus_.size(); ++i) {
-    n += nodeUp(i) ? 1 : 0;
+    n += cpus_[i]->isUp() ? 1 : 0;
   }
   return n;
 }
 
-void Cluster::refreshBusySnapshot() {
-  for (std::size_t i = 0; i < cpus_.size(); ++i) {
-    busy_snapshot_[i] = cpus_[i]->busyTime();
-  }
-}
-
 const std::vector<Utilization>& Cluster::sampleUtilization() {
-  if (engine_) {
-    // Probe against the barrier-coherent snapshot instead of live
-    // cross-shard busyTime() reads: every value is from the same barrier
-    // (< lookahead stale), identical for every worker-thread count.
-    const SimTime now = sim_.now();
-    const SimDuration window = now - last_sample_t_;
-    for (std::size_t i = 0; i < cpus_.size(); ++i) {
-      last_sample_[i] =
-          window > SimDuration::zero()
-              ? Utilization::fraction((busy_snapshot_[i] - sampled_busy_[i]) /
-                                      window)
-              : Utilization::zero();
-      sampled_busy_[i] = busy_snapshot_[i];
-    }
-    last_sample_t_ = now;
-  } else {
-    for (std::size_t i = 0; i < probes_.size(); ++i) {
-      last_sample_[i] = probes_[i].sample();
-    }
+  for (std::size_t i = 0; i < probes_.size(); ++i) {
+    last_sample_[i] = probes_[i].sample();
   }
   // Invalidate, don't rebuild: periods with no management action never pay
   // for the index, and one rebuild serves every query until the next
@@ -178,24 +91,8 @@ void Cluster::samplePartitionInto(std::size_t lo, std::size_t hi,
                                   std::vector<Utilization>& out) {
   RTDRM_ASSERT(lo < hi && hi <= cpus_.size());
   out.resize(hi - lo);
-  if (engine_) {
-    // Per-node windows (not the global last_sample_t_): partitions sample
-    // on their own cadence and must not shear each other's windows.
-    const SimTime now = sim_.now();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const SimDuration window = now - part_sample_t_[i];
-      out[i - lo] =
-          window > SimDuration::zero()
-              ? Utilization::fraction((busy_snapshot_[i] - sampled_busy_[i]) /
-                                      window)
-              : Utilization::zero();
-      sampled_busy_[i] = busy_snapshot_[i];
-      part_sample_t_[i] = now;
-    }
-  } else {
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i - lo] = probes_[i].sample();
-    }
+  for (std::size_t i = lo; i < hi; ++i) {
+    out[i - lo] = probes_[i].sample();
   }
   ++samples_taken_;
 }
@@ -216,7 +113,7 @@ Utilization Cluster::meanUtilization() const {
   double sum = 0.0;
   std::size_t up = 0;
   for (std::size_t i = 0; i < last_sample_.size(); ++i) {
-    if (!nodeUp(i)) {
+    if (!cpus_[i]->isUp()) {
       continue;
     }
     sum += last_sample_[i].value();
@@ -233,7 +130,7 @@ void Cluster::rebuildIndex() const {
   // placeable capacity, so every query path inherits the masking.
   util_heap_.clear();
   for (std::size_t i = 0; i < last_sample_.size(); ++i) {
-    if (!nodeUp(i)) {
+    if (!cpus_[i]->isUp()) {
       continue;
     }
     util_heap_.push_back(
@@ -276,7 +173,7 @@ std::optional<ProcessorId> Cluster::leastUtilizedScan(
   double best_u = 0.0;
   for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
     const ProcessorId id{i};
-    if (!nodeUp(i) ||
+    if (!cpus_[i]->isUp() ||
         std::find(exclude.begin(), exclude.end(), id) != exclude.end()) {
       continue;
     }
@@ -407,7 +304,7 @@ const std::vector<ProcessorId>& Cluster::belowUtilization(
   const double lim = limit.value();
   if (!index_enabled_) {
     for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
-      if (nodeUp(i) && last_sample_[i].value() < lim) {
+      if (cpus_[i]->isUp() && last_sample_[i].value() < lim) {
         below_scratch_.push_back(ProcessorId{i});
       }
     }

@@ -23,11 +23,9 @@
 #include <optional>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "node/background_load.hpp"
 #include "node/processor.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace rtdrm::node {
@@ -41,15 +39,6 @@ class Cluster {
           ProcessorConfig cpu_config = {},
           const std::vector<double>& speeds = {});
 
-  /// Sharded construction: processors and their background load live on
-  /// the engine's data shards (1..K-1, contiguous blocks of nodes; shard 0
-  /// keeps the control plane), and the cross-shard seams — crash/restart,
-  /// throttling, background-target changes, utilization sampling — are
-  /// marshalled through engine posts and barrier snapshots. With a
-  /// 1-shard engine this collapses to the legacy single-simulator wiring.
-  Cluster(sim::ShardedEngine& engine, std::size_t node_count,
-          ProcessorConfig cpu_config = {},
-          const std::vector<double>& speeds = {});
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -75,27 +64,10 @@ class Cluster {
   /// modes — so no allocator can place work on them. Invalidates the index
   /// and any outstanding cursors.
   void setNodeUp(ProcessorId id, bool up);
-  bool isUp(ProcessorId id) const {
-    RTDRM_ASSERT(id.value < cpus_.size());
-    return nodeUp(id.value);
-  }
+  bool isUp(ProcessorId id) const { return processor(id).isUp(); }
   /// Number of nodes currently up.
   std::size_t upCount() const;
 
-  /// Apply transient CPU throttling (Processor::setSpeedFactor), posted to
-  /// the owning shard when sharded, applied directly otherwise.
-  void applySpeedFactor(ProcessorId id, double factor);
-  /// Retarget a node's background load, posted to the owning shard when
-  /// sharded, applied directly otherwise.
-  void setBackgroundTarget(ProcessorId id, Utilization target);
-
-  /// The engine shard owning `id`'s processor (0 when unsharded).
-  std::size_t shardOf(ProcessorId id) const {
-    return shard_of_.empty() ? 0 : shard_of_[id.value];
-  }
-  /// True when nodes are spread over a multi-shard engine.
-  bool sharded() const { return engine_ != nullptr; }
-  sim::ShardedEngine* engine() { return engine_; }
 
   /// Samples every node's utilization over the window since the previous
   /// sample; the result is retained and served by lastUtilization().
@@ -208,33 +180,7 @@ class Cluster {
   std::optional<ProcessorId> leastUtilizedScan(
       const std::vector<ProcessorId>& exclude) const;
 
-  /// Common construction tail: builds processors/probes over simOf().
-  void buildNodes(std::size_t node_count, const ProcessorConfig& cpu_config,
-                  const std::vector<double>& speeds);
-  /// The simulator owning node `i`'s events (sim_ when unsharded).
-  sim::Simulator& simOf(std::size_t i) {
-    return engine_ ? engine_->shard(shard_of_[i]) : sim_;
-  }
-  /// Up/down as the control plane sees it. Sharded mode reads the
-  /// cluster-side membership record (authoritative: transitions are always
-  /// initiated here, the posted Processor::setUp lands within one barrier)
-  /// instead of racing the owning shard's processor state.
-  bool nodeUp(std::size_t i) const {
-    return engine_ ? up_state_[i] != 0 : cpus_[i]->isUp();
-  }
-  /// Barrier hook: copies every processor's busyTime() into
-  /// busy_snapshot_ while all shards are quiescent — the coherent reading
-  /// sampleUtilization() consumes. Staleness is < one lookahead window.
-  void refreshBusySnapshot();
-
   sim::Simulator& sim_;
-  sim::ShardedEngine* engine_ = nullptr;  ///< nullptr = legacy single queue
-  std::vector<std::uint32_t> shard_of_;   ///< node -> owning shard
-  std::vector<std::uint8_t> up_state_;    ///< control-plane membership view
-  std::vector<SimDuration> busy_snapshot_;   ///< barrier-coherent busyTime
-  std::vector<SimDuration> sampled_busy_;    ///< snapshot at last sample
-  SimTime last_sample_t_ = SimTime::zero();  ///< sharded sampling window
-  std::vector<SimTime> part_sample_t_;       ///< per-node partition windows
   std::vector<std::unique_ptr<Processor>> cpus_;
   std::vector<std::unique_ptr<BackgroundLoad>> bg_;
   std::vector<UtilizationProbe> probes_;

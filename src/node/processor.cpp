@@ -42,22 +42,6 @@ JobId Processor::submit(Job job) {
     return kNoJob;
   }
   const JobId id{next_job_++};
-  admit(id, std::move(job));
-  return id;
-}
-
-void Processor::submitReserved(JobId id, Job job) {
-  RTDRM_ASSERT(job.demand >= SimDuration::zero());
-  RTDRM_ASSERT_MSG((id.value & kReservedBit) != 0,
-                   "submitReserved needs an id from reserveJobId()");
-  if (!up_) {
-    ++jobs_rejected_;  // dropped like submit(): on_complete never fires
-    return;
-  }
-  admit(id, std::move(job));
-}
-
-void Processor::admit(JobId id, Job job) {
   // Demand is reference-speed CPU time; this node serves it at its own
   // (possibly throttled) speed, so the resident's remaining counter is
   // wall service time.
@@ -80,6 +64,7 @@ void Processor::admit(JobId id, Job job) {
     settleRunningStretch();
     dispatch();
   }
+  return id;
 }
 
 bool Processor::abort(JobId id) {

@@ -14,7 +14,6 @@
 // behaviour is identical to naive per-quantum simulation.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -71,20 +70,6 @@ class Processor {
   /// completion.
   JobId submit(Job job);
 
-  /// Reserves a job id for a submit that will be *posted* to this
-  /// processor's shard (sharded engine: the submitter needs the id for its
-  /// abort bookkeeping before the submit event executes). Thread-safe; the
-  /// returned ids live in a separate high-bit id space so they can never
-  /// collide with locally issued ones.
-  JobId reserveJobId() {
-    return JobId{kReservedBit |
-                 reserved_ids_.fetch_add(1, std::memory_order_relaxed)};
-  }
-  /// Submits under a previously reserved id. Must execute on the owning
-  /// shard (it is the body of the posted submit event). A down node drops
-  /// the job exactly like submit().
-  void submitReserved(JobId id, Job job);
-
   /// Abort a queued or running job (its on_complete never fires).
   /// Returns false if the job is unknown or already finished.
   bool abort(JobId id);
@@ -136,11 +121,6 @@ class Processor {
   std::uint64_t jobsRejected() const { return jobs_rejected_; }
 
  private:
-  static constexpr std::uint64_t kReservedBit = std::uint64_t{1} << 63;
-
-  /// Queues an admitted job under `id` (common tail of submit and
-  /// submitReserved; pre: node is up).
-  void admit(JobId id, Job job);
   /// Starts serving the policy's pick if idle and work is pending.
   void dispatch();
   /// End of the current service stretch (quantum or run-to-completion).
@@ -177,7 +157,6 @@ class Processor {
   SimDuration served_accum_ = SimDuration::zero();
   SimDuration overhead_accum_ = SimDuration::zero();
   std::uint64_t next_job_ = 1;
-  std::atomic<std::uint64_t> reserved_ids_{1};
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_aborted_ = 0;
   std::uint64_t jobs_rejected_ = 0;

@@ -13,8 +13,7 @@
 //   * rotateExpired() — whether an unfinished head rotates to the tail.
 //
 // Every hook must be deterministic (pure functions of the queue and the
-// context): the sharded engine's det mode replays the same decisions on
-// any thread count, and the fuzzer's seed-replay digests pin them down.
+// context): the fuzzer's seed-replay digests pin them down.
 // Ties are broken by JobId, the one total order that exists on every job.
 #pragma once
 

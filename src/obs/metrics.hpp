@@ -24,9 +24,9 @@ namespace rtdrm::obs {
 
 /// Monotonic integer count.
 ///
-/// Increments are relaxed atomics: counters are bumped from sharded-engine
-/// worker threads (fast mode) while the coordinator may snapshot, and a
-/// plain uint64 would be a data race under TSan. Relaxed ordering is
+/// Increments are relaxed atomics: a registry may be shared by work fanned
+/// out over parallelFor while another thread snapshots, and a plain uint64
+/// would be a data race under TSan. Relaxed ordering is
 /// enough — each add is independent and exportMetrics() only runs on
 /// quiescent components — and costs one lock-free RMW, no fences.
 class Counter {

@@ -129,33 +129,19 @@ void Simulator::pruneStale() {
   }
 }
 
-EventId Simulator::scheduleKeyed(SimTime at, std::uint64_t seq_key,
-                                 Callback cb) {
+EventId Simulator::scheduleAt(SimTime at, Callback cb) {
   RTDRM_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   RTDRM_ASSERT(cb != nullptr);
   const std::uint32_t idx = acquireSlot();
   Slot& s = slots_[idx];
   s.cb = std::move(cb);
-  heapPush(HeapEntry{at.ms(), seq_key, idx, s.generation});
+  heapPush(HeapEntry{at.ms(), next_seq_++, idx, s.generation});
   ++live_;
   ++events_scheduled_;
   if (heap_.size() > peak_heap_depth_) {
     peak_heap_depth_ = heap_.size();
   }
   return EventId{(static_cast<std::uint64_t>(s.generation) << 32) | idx};
-}
-
-EventId Simulator::scheduleAt(SimTime at, Callback cb) {
-  return scheduleKeyed(at, next_seq_++, std::move(cb));
-}
-
-EventId Simulator::scheduleAtMerged(SimTime at, std::uint32_t src_shard,
-                                    std::uint64_t src_seq, Callback cb) {
-  RTDRM_ASSERT_MSG(src_shard < (1u << 15), "shard id overflows the key");
-  RTDRM_ASSERT_MSG(src_seq < (1ull << 48), "post sequence overflows the key");
-  const std::uint64_t key =
-      kMergedBand | (static_cast<std::uint64_t>(src_shard) << 48) | src_seq;
-  return scheduleKeyed(at, key, std::move(cb));
 }
 
 EventId Simulator::scheduleAfter(SimDuration delay, Callback cb) {
@@ -205,7 +191,7 @@ bool Simulator::advanceTo(SimTime t) {
     return false;
   }
   const double t_ms = t.ms();
-  if (run_.inclusive ? t_ms > run_.limit_ms : t_ms >= run_.limit_ms) {
+  if (t_ms > run_.limit_ms) {
     return false;  // the run loop would leave this event pending
   }
   SimTime next;
@@ -221,7 +207,7 @@ bool Simulator::runUntil(SimTime until) {
   if (consumeStop()) {
     return false;  // stop requested between runs: honor it, fire nothing
   }
-  const RunScope scope(*this, RunContext{true, true, until.ms()});
+  const RunScope scope(*this, RunContext{true, until.ms()});
   while (!heap_.empty() && heap_[0].time_ms <= until.ms()) {
     if (fireHead() && consumeStop()) {
       return false;  // clock stays at the event that requested the stop
@@ -233,29 +219,13 @@ bool Simulator::runUntil(SimTime until) {
   return true;
 }
 
-bool Simulator::runUntilBefore(SimTime before) {
-  if (consumeStop()) {
-    return false;  // stop requested between runs: honor it, fire nothing
-  }
-  const RunScope scope(*this, RunContext{true, false, before.ms()});
-  while (!heap_.empty() && heap_[0].time_ms < before.ms()) {
-    if (fireHead() && consumeStop()) {
-      return false;  // clock stays at the event that requested the stop
-    }
-  }
-  if (now_ < before) {
-    now_ = before;  // idle forward to the (exclusive) horizon
-  }
-  return true;
-}
-
 bool Simulator::runAll() {
   if (consumeStop()) {
     return false;
   }
   const RunScope scope(
       *this,
-      RunContext{true, true, std::numeric_limits<double>::infinity()});
+      RunContext{true, std::numeric_limits<double>::infinity()});
   while (!heap_.empty()) {
     if (fireHead() && consumeStop()) {
       return false;
@@ -266,8 +236,7 @@ bool Simulator::runAll() {
 
 bool Simulator::peekNextEvent(SimTime* out) {
   // Drop stale (cancelled) heads so the reported time is the next event
-  // that would actually fire — a stale upper bound would make the sharded
-  // engine open windows around events that no longer exist.
+  // that would actually fire, not a stale upper bound.
   while (!heap_.empty()) {
     const HeapEntry& e = heap_[0];
     if (slots_[e.slot].generation == e.generation) {

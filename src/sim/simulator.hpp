@@ -65,18 +65,6 @@ class Simulator {
   /// Schedule `cb` after a delay relative to now (delay >= 0).
   EventId scheduleAfter(SimDuration delay, Callback cb);
 
-  /// Schedule a cross-shard post merged in by a sharded engine. The
-  /// tie-break against same-time events is *intrinsic* — (source shard,
-  /// per-source sequence), with every merged post ordered after every
-  /// locally scheduled event at the same timestamp — instead of insertion
-  /// order. That makes the execution order independent of *when* the
-  /// engine merges the post (which barrier, which window-sizing policy),
-  /// which is what keeps static- and adaptive-lookahead runs byte
-  /// identical. Local scheduling order is untouched: merged posts do not
-  /// consume local sequence numbers.
-  EventId scheduleAtMerged(SimTime at, std::uint32_t src_shard,
-                           std::uint64_t src_seq, Callback cb);
-
   /// Cancel a pending event. Returns false if it already fired, was already
   /// cancelled, or never existed. O(1): the closure is released here.
   bool cancel(EventId id);
@@ -89,14 +77,6 @@ class Simulator {
   bool runUntil(SimTime until);
   /// Run for a duration from the current time.
   bool runFor(SimDuration d) { return runUntil(now_ + d); }
-  /// Half-open variant: fires events strictly *before* `before` and leaves
-  /// the clock at `before` (events exactly at `before` stay pending). The
-  /// sharded engine executes barrier windows [now, horizon) with this, so
-  /// a cross-shard post landing exactly on a shard's horizon still orders
-  /// against that shard's same-time local events by the merged-post rule
-  /// rather than by which side ran first. Stop handling as in runUntil.
-  /// A `before` at or behind the clock fires nothing and keeps the clock.
-  bool runUntilBefore(SimTime before);
   /// Run until the queue is completely empty. Returns false when stopped.
   bool runAll();
   /// Execute the single next event, if any. Returns false when queue empty.
@@ -106,10 +86,10 @@ class Simulator {
   /// Tail-position fast-forward: moves the clock to `t` without touching
   /// the calendar, as if an event scheduled at `t` had just been popped.
   /// Succeeds only when that is exactly what the calendar would have done:
-  ///   * a run loop (runUntil, runUntilBefore, runAll) is executing the
-  ///     current callback — not step(), and not between runs;
+  ///   * a run loop (runUntil, runAll) is executing the current
+  ///     callback — not step(), and not between runs;
   ///   * now() <= t, and t lies inside the active run's horizon (<= until
-  ///     for runUntil, < before for runUntilBefore);
+  ///     for runUntil);
   ///   * t is strictly earlier than the next live event (peekNextEvent);
   ///   * no post-event hook is installed and no stop is pending.
   /// On success it sets the clock to `t`, counts one executed event and
@@ -136,8 +116,7 @@ class Simulator {
 
   /// Time of the next live event without executing it; false when the
   /// calendar is empty. Prunes stale (cancelled) heads as a side effect,
-  /// so the answer is exact, not an upper bound. The sharded engine sizes
-  /// its barrier windows with this.
+  /// so the answer is exact, not an upper bound.
   bool peekNextEvent(SimTime* out);
 
   /// Installs a hook invoked after every executed event's callback returns
@@ -156,9 +135,8 @@ class Simulator {
   /// the current callback returns, leaving the clock at that event's time.
   ///
   /// The flag is an atomic handshake: requestStop()/stopPending() are safe
-  /// from any thread (e.g. asking a shard to wind down from the sharded
-  /// engine's coordinator), though the run loops themselves stay
-  /// single-threaded per simulator.
+  /// from any thread, though the run loops themselves stay single-threaded
+  /// per simulator.
   void requestStop() {
     stop_requested_.store(true, std::memory_order_release);
   }
@@ -166,12 +144,6 @@ class Simulator {
   bool stopPending() const {
     return stop_requested_.load(std::memory_order_acquire);
   }
-  /// Consumes a pending stop request without running anything; returns
-  /// true if one was pending. The sharded engine uses this to honor a
-  /// shard-level stop on a shard whose window was *skipped* (adaptive
-  /// lookahead) — the request must still halt the engine exactly once, not
-  /// linger to spuriously cut a later run short.
-  bool consumeStopRequest() { return consumeStop(); }
 
   std::uint64_t eventsExecuted() const { return events_executed_; }
   std::size_t pendingEvents() const { return live_; }
@@ -194,17 +166,10 @@ class Simulator {
 
   struct HeapEntry {
     double time_ms;
-    /// Same-time tie-break key. Local events: plain insertion order (top
-    /// bit clear), FIFO as always. Merged cross-shard posts: top bit set,
-    /// then (source shard, per-source sequence) — a canonical order that
-    /// does not depend on when the post was merged in. All locals at a
-    /// timestamp fire before all merged posts at that timestamp.
-    std::uint64_t seq;
+    std::uint64_t seq;  // insertion order: same-time events fire FIFO
     std::uint32_t slot;
     std::uint32_t generation; // stale when != slots_[slot].generation
   };
-
-  static constexpr std::uint64_t kMergedBand = 1ull << 63;
 
   static bool firesBefore(const HeapEntry& a, const HeapEntry& b) {
     if (a.time_ms != b.time_ms) {
@@ -213,7 +178,6 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  EventId scheduleKeyed(SimTime at, std::uint64_t seq_key, Callback cb);
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t idx);
   void heapPush(const HeapEntry& e);
@@ -229,8 +193,7 @@ class Simulator {
   /// installs its own (step() installs "no run") and restores the
   /// enclosing one on exit, so nested runs stay exact.
   struct RunContext {
-    bool active = false;     // inside runUntil/runUntilBefore/runAll
-    bool inclusive = true;   // horizon admits events exactly at limit_ms
+    bool active = false;     // inside runUntil/runAll
     double limit_ms = 0.0;   // +inf for runAll
   };
   class RunScope;

@@ -32,9 +32,6 @@ PipelineRun::PipelineRun(Runtime rt, const TaskSpec& spec,
   for (std::size_t s = 1; s < spec_.stageCount(); ++s) {
     msg_tags_.push_back(spec_.name + "/m" + std::to_string(s));
   }
-  if (rt_.engine != nullptr && rt_.engine->shardCount() > 1) {
-    alive_ = std::make_shared<bool>(true);
-  }
   cutoff_event_ = rt_.sim.scheduleAfter(
       spec_.period * config_.cutoff_periods, [this] { abortAtCutoff(); });
   beginStage(0);
@@ -46,31 +43,15 @@ PipelineRun::~PipelineRun() {
     abortOutstandingJobs();
     finished_ = true;
   }
-  if (alive_ != nullptr) {
-    *alive_ = false;  // strands any completion post still in a mailbox
-  }
   // Message-delivery closures hold a raw `this`; the TaskRunner contract is
   // that runs are only destroyed after on_done fired AND in-flight
   // deliveries were drained or the whole simulator is being torn down.
 }
 
 void PipelineRun::abortOutstandingJobs() {
-  sim::ShardedEngine* eng = rt_.engine;
   for (std::size_t i = outstanding_head_; i < outstanding_.size(); ++i) {
     const ProcessorId pid = outstanding_[i].first;
-    if (pid == kNoNode) {
-      continue;
-    }
-    const std::size_t dst = eng ? rt_.cluster.shardOf(pid) : 0;
-    if (eng != nullptr && dst != 0) {
-      // The job lives on a data shard: the abort must execute there. By
-      // post ordering it lands after the submit it chases; if the job
-      // finished in between, the abort is a no-op.
-      node::Processor* cpu = &rt_.cluster.processor(pid);
-      const node::JobId jid = outstanding_[i].second;
-      eng->post(0, dst, eng->postHorizon(0),
-                [cpu, jid] { cpu->abort(jid); });
-    } else {
+    if (pid != kNoNode) {
       rt_.cluster.processor(pid).abort(outstanding_[i].second);
     }
   }
@@ -156,39 +137,6 @@ void PipelineRun::submitReplicaJob(std::size_t s, std::size_t r,
   const SimTime job_deadline = config_.job_deadline > SimDuration::zero()
                                    ? record_.release + config_.job_deadline
                                    : SimTime::zero();
-  sim::ShardedEngine* eng = rt_.engine;
-  const std::size_t dst = eng ? rt_.cluster.shardOf(pid) : 0;
-  if (eng != nullptr && dst != 0) {
-    // Cross-shard submit: the job id is reserved here (abort bookkeeping
-    // needs it now), the submit itself is posted to the owning shard, and
-    // the completion posts back to shard 0 guarded by the run's liveness
-    // token. Net effect vs the legacy path: submit and completion each
-    // slip by exactly the lookahead (~12 us) — the modelled minimum
-    // cross-shard latency, independent of how windows are sized.
-    node::Processor* cpu = &rt_.cluster.processor(pid);
-    const node::JobId jid = cpu->reserveJobId();
-    outstanding_.emplace_back(pid, jid);
-    const SimTime at = eng->postHorizon(0);
-    replica_exec_start_[r] = at;
-    PipelineRun* self = this;
-    node::Job job{
-        demand,
-        [eng, dst, alive = alive_, self, s32, r32] {
-          eng->post(dst, 0, eng->postHorizon(dst),
-                    [alive, self, s32, r32] {
-                      if (!*alive || self->finished_) {
-                        return;  // run aborted/destroyed while in flight
-                      }
-                      self->onReplicaDone(s32, r32,
-                                          self->replica_exec_start_[r32]);
-                    });
-        },
-        job_tags_[s], config_.job_priority, job_deadline, config_.job_period};
-    eng->post(0, dst, at, [cpu, jid, job = std::move(job)]() mutable {
-      cpu->submitReserved(jid, std::move(job));
-    });
-    return;
-  }
   const node::JobId jid = rt_.cluster.processor(pid).submit(node::Job{
       demand,
       [this, s32, r32] { onReplicaDone(s32, r32, replica_exec_start_[r32]); },

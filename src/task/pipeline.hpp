@@ -111,8 +111,7 @@ class PipelineRun {
   void finishStage(std::size_t s);
   void complete();
   void abortAtCutoff();
-  /// Aborts every live outstanding job — directly on the legacy path,
-  /// via engine posts to the owning shards when sharded.
+  /// Aborts every live outstanding job.
   void abortOutstandingJobs();
 
   Runtime rt_;
@@ -146,13 +145,6 @@ class PipelineRun {
   sim::EventId cutoff_event_{};
   std::size_t inflight_msgs_ = 0;
   bool finished_ = false;
-  /// Liveness token for cross-shard completion posts (sharded engine
-  /// only). A job finishing on a data shard posts its completion back to
-  /// shard 0; by the time that post executes this run may have been
-  /// cutoff-aborted and destroyed, so the post captures a copy of this
-  /// token — flipped to false by the destructor — and checks it before
-  /// touching `this`.
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace rtdrm::task

@@ -4,22 +4,15 @@
 #include "net/clock_sync.hpp"
 #include "net/network_model.hpp"
 #include "node/cluster.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace rtdrm::task {
 
 struct Runtime {
-  /// The control shard's simulator (the only simulator when unsharded):
-  /// managers, pipelines, the network substrate and clocks all live here.
   sim::Simulator& sim;
   node::Cluster& cluster;
   net::NetworkModel& net;
   net::ClockFabric& clocks;
-  /// Multi-shard engine when processors live on data shards; nullptr for
-  /// the legacy single-queue path. Pipelines marshal job submits, aborts
-  /// and completions through it.
-  sim::ShardedEngine* engine = nullptr;
 };
 
 }  // namespace rtdrm::task

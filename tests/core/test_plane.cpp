@@ -118,7 +118,7 @@ TEST(ManagementPlane, PartitionsCoverEveryNodeOnce) {
           EXPECT_EQ(owner[i], -1) << "node " << i << " owned twice";
           owner[i] = static_cast<int>(m);
         }
-        // Aligned with the shard layout's floor(i*M/N) node -> block map.
+        // Matches the floor(i*M/N) node -> block map.
         for (std::size_t i = lo; i < hi; ++i) {
           EXPECT_EQ(i * managers / nodes, m);
         }

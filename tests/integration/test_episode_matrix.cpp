@@ -14,7 +14,9 @@
 namespace rtdrm::experiments {
 namespace {
 
-using Param = std::tuple<const char* /*pattern*/, int /*algorithm*/,
+// The pattern is a std::string, not a const char*, so the ctest name
+// prints the pattern rather than an address.
+using Param = std::tuple<std::string /*pattern*/, int /*algorithm*/,
                          bool /*refit*/>;
 
 class EpisodeMatrix : public ::testing::TestWithParam<Param> {
@@ -48,7 +50,7 @@ TEST_P(EpisodeMatrix, MetricsWellFormedAndDeterministic) {
   EpisodeConfig cfg;
   cfg.periods = 30;
   cfg.manager.online_refit = refit;
-  if (std::string(pattern_name) == "decreasing") {
+  if (pattern_name == "decreasing") {
     cfg.manager.d_init = ramp.max_workload;
   }
 
@@ -86,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1),
                        ::testing::Values(false, true)),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param)) +
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) == 0 ? "_pred" : "_nonpred") +
              (std::get<2>(info.param) ? "_refit" : "_static");
     });

@@ -28,7 +28,7 @@ struct Traffic {
   std::size_t nodes = 0;
   EthernetConfig cfg;
   std::vector<Send> sends;
-  /// Increasing run horizons; odd ones use the half-open runUntilBefore.
+  /// Increasing runUntil horizons.
   std::vector<double> horizons_ms;
 };
 
@@ -122,13 +122,8 @@ Observed runTraffic(const Traffic& t, bool force_calendar, bool faulty) {
           }});
     });
   }
-  for (std::size_t k = 0; k < t.horizons_ms.size(); ++k) {
-    const SimTime h = SimTime::millis(t.horizons_ms[k]);
-    if (k % 2 == 0) {
-      sim.runUntil(h);
-    } else {
-      sim.runUntilBefore(h);
-    }
+  for (const double h : t.horizons_ms) {
+    sim.runUntil(SimTime::millis(h));
     o.busy_at_horizon.push_back(net.busyTime().ms());
   }
   sim.runAll();

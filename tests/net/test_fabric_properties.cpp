@@ -49,12 +49,15 @@ TEST_P(FabricRandomTraffic, ConservationFifoAndLatencyBound) {
   const std::size_t nodes = 8;
   SwitchedFabric net(sim, nodes, cfg);
 
-  // The fabric's shortest cross-node path strictly dominates the bus's
-  // single hop (two serializations + two propagations + switch latency vs
-  // one serialization + one propagation).
-  ASSERT_GT(cfg.minCrossShardLatency().ms(),
-            cfg.link.minCrossShardLatency().ms());
-  const double min_path_ms = cfg.minCrossShardLatency().ms();
+  // The shortest cross-node path is uplink + downlink: two serializations
+  // of the shortest legal frame, two propagations and one switch traversal.
+  const double min_frame_ms =
+      cfg.link.rate
+          .transmissionTime(cfg.link.min_payload + cfg.link.frame_overhead)
+          .ms();
+  const double min_path_ms =
+      2.0 * (min_frame_ms + cfg.link.propagation.ms()) +
+      cfg.switch_latency.ms();
 
   const int n_messages = 80;
   int delivered = 0;

@@ -36,9 +36,8 @@ std::string goldenPath() {
   return std::string(RTDRM_TEST_DATA_DIR) + "/golden/decision_trace.txt";
 }
 
-std::string shardedGoldenPath() {
-  return std::string(RTDRM_TEST_DATA_DIR) +
-         "/golden/decision_trace_sharded.txt";
+std::string planeGoldenPath() {
+  return std::string(RTDRM_TEST_DATA_DIR) + "/golden/decision_trace_plane.txt";
 }
 
 /// The pinned episode: AAW task, triangular pattern, fixed seed, models
@@ -71,13 +70,13 @@ std::vector<std::string> runGoldenEpisode(obs::Observability& bundle) {
   return obs::decisionAuditLines(bundle.trace.snapshot());
 }
 
-/// The sharded-plane variant of the pinned episode: same task, pattern,
+/// The failover-plane variant of the pinned episode: same task, pattern,
 /// models and seed, but run under a 2-manager management plane whose
 /// active crashes at period 10 and restarts 8 periods later. The
 /// projection therefore pins the failover lifecycle — manager-down,
 /// election, suppressed periods, decision provenance — on top of the
 /// usual growth/threshold sequence.
-std::vector<std::string> runShardedGoldenEpisode(obs::Observability& bundle) {
+std::vector<std::string> runPlaneGoldenEpisode(obs::Observability& bundle) {
   const task::TaskSpec spec = apps::makeAawTaskSpec();
   core::PredictiveModels models;
   models.exec.resize(spec.stageCount());
@@ -195,9 +194,9 @@ void checkAgainstGolden(const std::string& path,
       << "\nif intentional, regenerate with scripts/regen_golden_trace.sh";
 }
 
-TEST(GoldenTrace, ShardedPlaneDecisionAuditMatchesGoldenFile) {
+TEST(GoldenTrace, PlaneFailoverDecisionAuditMatchesGoldenFile) {
   obs::Observability bundle(1u << 18);
-  const std::vector<std::string> actual = runShardedGoldenEpisode(bundle);
+  const std::vector<std::string> actual = runPlaneGoldenEpisode(bundle);
   ASSERT_EQ(bundle.trace.overwritten(), 0u);
   ASSERT_GT(actual.size(), 50u);
   // The failover lifecycle must actually appear — a fixture without a
@@ -213,13 +212,13 @@ TEST(GoldenTrace, ShardedPlaneDecisionAuditMatchesGoldenFile) {
   EXPECT_TRUE(saw_down);
   EXPECT_TRUE(saw_election);
   EXPECT_TRUE(saw_owner);
-  checkAgainstGolden(shardedGoldenPath(), actual);
+  checkAgainstGolden(planeGoldenPath(), actual);
 }
 
-TEST(GoldenTrace, ShardedProjectionIsDeterministicAcrossRuns) {
+TEST(GoldenTrace, PlaneFailoverProjectionIsDeterministicAcrossRuns) {
   obs::Observability a(1u << 18);
   obs::Observability b(1u << 18);
-  EXPECT_EQ(runShardedGoldenEpisode(a), runShardedGoldenEpisode(b));
+  EXPECT_EQ(runPlaneGoldenEpisode(a), runPlaneGoldenEpisode(b));
 }
 
 TEST(GoldenTrace, ProjectionIsDeterministicAcrossRuns) {

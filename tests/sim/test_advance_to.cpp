@@ -91,20 +91,6 @@ TEST(AdvanceTo, RefusesPastRunUntilHorizonButAdmitsItExactly) {
   EXPECT_EQ(sim.now(), ms(10.0));
 }
 
-TEST(AdvanceTo, RefusesRunUntilBeforeHorizon) {
-  Simulator sim;
-  bool at = true;
-  bool inside = false;
-  sim.scheduleAt(ms(1.0), [&] {
-    at = sim.advanceTo(ms(10.0));  // half-open: `before` itself never fires
-    inside = sim.advanceTo(ms(9.5));
-  });
-  EXPECT_TRUE(sim.runUntilBefore(ms(10.0)));
-  EXPECT_FALSE(at);
-  EXPECT_TRUE(inside);
-  EXPECT_EQ(sim.now(), ms(10.0));  // idled forward to the horizon as usual
-}
-
 TEST(AdvanceTo, RefusesInsideStep) {
   Simulator sim;
   bool ok = true;

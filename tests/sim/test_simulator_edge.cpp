@@ -213,6 +213,27 @@ TEST(SimulatorEdge, MidRunStopLeavesClockAtStoppingEvent) {
 // ---------------------------------------------------------------------------
 // EventFn wrapper
 
+TEST(SimulatorStop, RunUntilReportsStopConsumption) {
+  Simulator sim;
+  sim.scheduleAt(SimTime::millis(1.0), [&] { sim.requestStop(); });
+  sim.scheduleAt(SimTime::millis(5.0), [] {});
+  EXPECT_FALSE(sim.runUntil(SimTime::millis(10.0)));
+  EXPECT_FALSE(sim.stopPending());
+  EXPECT_TRUE(sim.runUntil(SimTime::millis(10.0)));
+}
+
+TEST(SimulatorPeek, PeekSkipsCancelledHeads) {
+  Simulator sim;
+  const EventId doomed = sim.scheduleAt(SimTime::millis(1.0), [] {});
+  sim.scheduleAt(SimTime::millis(3.0), [] {});
+  sim.cancel(doomed);
+  SimTime t;
+  ASSERT_TRUE(sim.peekNextEvent(&t));
+  EXPECT_DOUBLE_EQ(t.ms(), 3.0);
+  Simulator empty;
+  EXPECT_FALSE(empty.peekNextEvent(&t));
+}
+
 TEST(EventFn, EmptyByDefault) {
   EventFn<void()> fn;
   EXPECT_TRUE(fn == nullptr);

@@ -133,8 +133,8 @@ class GeneratorDeterminism : public ::testing::Test {
 TEST_F(GeneratorDeterminism, TablesByteIdenticalAcrossThreadCounts) {
   // Every draw is a pure function of (seed, indices), so filling a table
   // in parallel must be bit-identical at any worker count — the property
-  // that lets sharded episodes and sweeps evaluate generators from any
-  // shard without coordination.
+  // that lets parallel sweeps evaluate generators from any thread without
+  // coordination.
   const std::size_t n = 4000;
   const ParetoArrivals pareto({}, 1234);
   const CorrelatedSurge surge({}, 4, 1234);

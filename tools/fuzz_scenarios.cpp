@@ -2,9 +2,12 @@
 //
 // Sweeps seeds through randomized full-stack scenarios, running each under
 // both allocators with the InvariantOracle attached and replaying each run
-// to prove byte-identical traces. On failure the scenario is shrunk to a
-// minimal reproducer and the exact `--replay-seed` command line is printed
-// (and optionally written to a file for CI artifact upload).
+// to prove byte-identical traces. Seeds are independent, so the sweep fans
+// them out over parallelFor (--threads); outcomes are collected per seed
+// and reported in seed order, so stdout is identical for every thread
+// count. On failure the lowest failing seed is shrunk to a minimal
+// reproducer and the exact `--replay-seed` command line is printed (and
+// optionally written to a file for CI artifact upload).
 //
 //   fuzz_scenarios --seeds 500            # sweep seeds 0..499
 //   fuzz_scenarios --replay-seed 123      # re-run one reproducer
@@ -12,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.hpp"
 #include "common/cli.hpp"
@@ -82,9 +86,6 @@ int main(int argc, char** argv) {
   bool verbose = false;
   std::string repro_out;
   std::int64_t threads = 0;
-  std::int64_t shards = 1;
-  std::string sim_mode = "det";
-  std::string lookahead = "adaptive";
 
   rtdrm::ArgParser parser(
       "fuzz_scenarios",
@@ -145,35 +146,16 @@ int main(int argc, char** argv) {
       .addString("repro-out",
                  "write the minimized reproducer command to this file",
                  &repro_out)
-      .addInt("threads", "worker threads (0 = RTDRM_THREADS or cores)",
-              &threads)
-      .addInt("shards", "event-kernel shards per scenario (1 = single queue)",
-              &shards)
-      .addString("sim-mode", "det | fast (sharded window execution)",
-                 &sim_mode)
-      .addString("lookahead",
-                 "static | adaptive (sharded barrier-window sizing)",
-                 &lookahead);
+      .addInt("threads",
+              "worker threads the seed sweep fans out over (0 = "
+              "RTDRM_THREADS or cores)",
+              &threads);
   if (!parser.parse(argc, argv)) {
     return parser.helpRequested() ? 0 : 2;
   }
 
   rtdrm::parallel::setThreads(
       threads < 0 ? 0u : static_cast<unsigned>(threads));
-  rtdrm::check::FuzzExecConfig exec;
-  exec.sim_shards =
-      shards < 1 ? std::size_t{1} : static_cast<std::size_t>(shards);
-  if (!rtdrm::parallel::parseSimMode(sim_mode, &exec.sim_mode)) {
-    std::cerr << "unknown sim mode '" << sim_mode << "' (det | fast)\n";
-    return 2;
-  }
-  rtdrm::parallel::setSimMode(exec.sim_mode);
-  if (!rtdrm::parallel::parseLookaheadPolicy(lookahead, &exec.lookahead)) {
-    std::cerr << "unknown lookahead policy '" << lookahead
-              << "' (static | adaptive)\n";
-    return 2;
-  }
-  rtdrm::parallel::setLookaheadPolicy(exec.lookahead);
 
   const rtdrm::check::ShrinkSpec shrink =
       shrinkFromFlags(max_subtasks, max_periods, flat, drop_faults,
@@ -188,7 +170,7 @@ int main(int argc, char** argv) {
                                        workload_mix);
     std::cout << "replaying " << scenario.summary() << "\n";
     const rtdrm::check::FuzzOutcome outcome = rtdrm::check::runFuzzSeed(
-        seed, shrink, faults, exec, manager_faults, sched, period_adjust,
+        seed, shrink, faults, {}, manager_faults, sched, period_adjust,
         net_topology, workload_mix);
     if (outcome.failed()) {
       std::cout << "FAIL: " << outcome.detail << "\n";
@@ -199,9 +181,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::uint64_t total_checks = 0;
   const auto first = static_cast<std::uint64_t>(start_seed);
   const auto count = static_cast<std::uint64_t>(seeds);
+  std::vector<rtdrm::check::FuzzOutcome> outcomes(count);
+  rtdrm::parallelFor(count, [&](std::size_t i) {
+    outcomes[i] = rtdrm::check::runFuzzSeed(
+        first + i, shrink, faults, {}, manager_faults, sched, period_adjust,
+        net_topology, workload_mix);
+  });
+
+  // Report in seed order, exactly as a serial sweep would: it stops at the
+  // lowest failing seed.
+  std::uint64_t total_checks = 0;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
     if (verbose) {
       std::cout
@@ -212,9 +203,7 @@ int main(int argc, char** argv) {
                  .summary()
           << std::endl;
     }
-    const rtdrm::check::FuzzOutcome outcome = rtdrm::check::runFuzzSeed(
-        seed, shrink, faults, exec, manager_faults, sched, period_adjust,
-        net_topology, workload_mix);
+    const rtdrm::check::FuzzOutcome& outcome = outcomes[seed - first];
     total_checks += outcome.checks;
     if (!outcome.failed()) {
       if (!verbose && (seed - first + 1) % 50 == 0) {
@@ -235,9 +224,8 @@ int main(int argc, char** argv) {
       minimal = rtdrm::check::minimize(
           seed, shrink,
           [faults, manager_faults, sched, period_adjust, net_topology,
-           workload_mix,
-           &exec](std::uint64_t s, const rtdrm::check::ShrinkSpec& c) {
-            return rtdrm::check::runFuzzSeed(s, c, faults, exec,
+           workload_mix](std::uint64_t s, const rtdrm::check::ShrinkSpec& c) {
+            return rtdrm::check::runFuzzSeed(s, c, faults, {},
                                              manager_faults, sched,
                                              period_adjust, net_topology,
                                              workload_mix)

@@ -130,27 +130,9 @@ int parsePeriodAdjust(const std::string& s, bool* out) {
   return 1;
 }
 
-/// Applies the shared execution flags (--threads, --sim-mode,
-/// --lookahead) to the process-wide parallel configuration. Returns 0, or
-/// 1 on a bad mode/policy.
-int applyExecFlags(std::int64_t threads, const std::string& sim_mode,
-                   const std::string& lookahead) {
-  parallel::setThreads(
-      threads < 0 ? 0u : static_cast<unsigned>(threads));
-  parallel::SimMode mode{};
-  if (!parallel::parseSimMode(sim_mode, &mode)) {
-    std::cerr << "unknown sim mode '" << sim_mode << "' (det | fast)\n";
-    return 1;
-  }
-  parallel::setSimMode(mode);
-  parallel::LookaheadPolicy policy{};
-  if (!parallel::parseLookaheadPolicy(lookahead, &policy)) {
-    std::cerr << "unknown lookahead policy '" << lookahead
-              << "' (static | adaptive)\n";
-    return 1;
-  }
-  parallel::setLookaheadPolicy(policy);
-  return 0;
+/// Applies --threads to the process-wide worker budget.
+void applyThreads(std::int64_t threads) {
+  parallel::setThreads(threads < 0 ? 0u : static_cast<unsigned>(threads));
 }
 
 /// Applies the shared network/workload flags (--net, --segments,
@@ -200,9 +182,6 @@ int cmdEpisode(int argc, const char* const* argv) {
   std::int64_t periods = 72;
   std::int64_t seed = 42;
   std::int64_t threads = 0;
-  std::int64_t shards = 1;
-  std::string sim_mode = "det";
-  std::string lookahead = "adaptive";
   bool refit = false;
   bool histogram = false;
   std::string trace_out;
@@ -225,15 +204,10 @@ int cmdEpisode(int argc, const char* const* argv) {
       .addDouble("max-tracks", "pattern peak workload", &max_tracks)
       .addInt("periods", "episode length", &periods)
       .addInt("seed", "master seed", &seed)
-      .addInt("threads", "worker threads (0 = RTDRM_THREADS or cores)",
+      .addInt("threads",
+              "worker threads for model fitting (0 = RTDRM_THREADS or "
+              "cores)",
               &threads)
-      .addInt("shards", "event-kernel shards (1 = single queue)", &shards)
-      .addString("sim-mode", "det | fast (sharded window execution)",
-                 &sim_mode)
-      .addString("lookahead",
-                 "static | adaptive (sharded barrier-window sizing; "
-                 "digest-identical, adaptive runs far fewer barriers)",
-                 &lookahead)
       .addInt("managers",
               "manager endpoints (1 = legacy centralized plane, > 1 shards "
               "the management plane with gossip + failover)",
@@ -288,9 +262,7 @@ int cmdEpisode(int argc, const char* const* argv) {
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
   }
-  if (applyExecFlags(threads, sim_mode, lookahead) != 0) {
-    return 1;
-  }
+  applyThreads(threads);
   experiments::AlgorithmKind kind{};
   if (parseAlgorithm(algorithm, &kind) != 0) {
     return 1;
@@ -305,10 +277,6 @@ int cmdEpisode(int argc, const char* const* argv) {
   experiments::EpisodeConfig cfg;
   cfg.periods = static_cast<std::uint64_t>(periods);
   cfg.scenario.seed = static_cast<std::uint64_t>(seed);
-  cfg.scenario.sim_shards =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, shards));
-  cfg.scenario.sim_mode = parallel::config().sim_mode;
-  cfg.scenario.sim_lookahead = parallel::config().lookahead;
   if (!node::parseSchedPolicy(sched, &cfg.scenario.cpu.policy)) {
     std::cerr << "unknown scheduling policy '" << sched
               << "' (rr | fifo | priority | edf | rms | llf)\n";
@@ -388,9 +356,6 @@ int cmdSweep(int argc, const char* const* argv) {
   std::int64_t periods = 72;
   std::int64_t replications = 1;
   std::int64_t threads = 0;
-  std::int64_t shards = 1;
-  std::string sim_mode = "det";
-  std::string lookahead = "adaptive";
   std::string sched = "rr";
   std::string period_adjust = "off";
   std::string net_model = "bus";
@@ -411,13 +376,6 @@ int cmdSweep(int argc, const char* const* argv) {
               "worker threads for the point fan-out "
               "(0 = RTDRM_THREADS or cores)",
               &threads)
-      .addInt("shards",
-              "event-kernel shards per episode (1 = single queue)", &shards)
-      .addString("sim-mode", "det | fast (sharded window execution)",
-                 &sim_mode)
-      .addString("lookahead",
-                 "static | adaptive (sharded barrier-window sizing)",
-                 &lookahead)
       .addString("sched",
                  "node scheduling policy: rr | fifo | priority | edf | rms "
                  "| llf",
@@ -443,19 +401,13 @@ int cmdSweep(int argc, const char* const* argv) {
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
   }
-  if (applyExecFlags(threads, sim_mode, lookahead) != 0) {
-    return 1;
-  }
+  applyThreads(threads);
   const task::TaskSpec spec = apps::makeAawTaskSpec();
   std::cout << "[fitting models...]\n";
   const auto fitted =
       experiments::fitAllModels(spec, experiments::defaultModelFitConfig());
   experiments::SweepConfig cfg;
   cfg.episode.periods = static_cast<std::uint64_t>(periods);
-  cfg.episode.scenario.sim_shards =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, shards));
-  cfg.episode.scenario.sim_mode = parallel::config().sim_mode;
-  cfg.episode.scenario.sim_lookahead = parallel::config().lookahead;
   if (!node::parseSchedPolicy(sched, &cfg.episode.scenario.cpu.policy)) {
     std::cerr << "unknown scheduling policy '" << sched
               << "' (rr | fifo | priority | edf | rms | llf)\n";
