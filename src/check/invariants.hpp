@@ -43,6 +43,18 @@
 //     delivery-observer count always equals the substrate's delivered
 //     counter, and every receipt is observed at its delivery time.
 //
+// The per-event sweep re-verifies a cluster's utilization index (the
+// Fig.-5 pmin, growth cursor and Fig.-7 candidate set against reference
+// scans) only when the index's inputs changed: the oracle keeps its own
+// copy of every input the check reads (node count, per-node up flag and
+// bit-exact last utilization, the index-enabled switch, and the cluster's
+// rebuild count taken after the check) and, while that copy still matches
+// and the last full check was clean, counts the check without replaying
+// its queries. The index's answers are a deterministic function of those
+// inputs, so the verdict, checksRun() and every fuzz digest are unchanged
+// (docs/architecture.md, "The invariant oracle"). The public
+// checkUtilizationIndex() always queries.
+//
 // Violations are counted and recorded (bounded), or optionally abort the
 // process — tests and the fuzzer collect, long soak runs may abort.
 #pragma once
@@ -73,9 +85,6 @@ struct OracleConfig {
   bool abort_on_violation = false;
   /// Keep at most this many violation records (the count is unbounded).
   std::size_t max_recorded = 100;
-  /// Sweep all watched state after every executed simulation event. Off,
-  /// checks still run at every manager hook point.
-  bool check_every_event = true;
   /// Recovery deadline: a node down for longer than this must no longer
   /// appear in any watched placement. Cover detector worst-case latency
   /// (timeout + retries * backoff + interval) plus the K periods the
@@ -170,7 +179,9 @@ class InvariantOracle final : public core::ManagerObserver,
   /// Decentralized-plane sweep: active-role uniqueness and the gossip
   /// staleness bound (needs a watched plane; no-op otherwise).
   void checkPlane();
-  /// Sweeps every watched cluster / ledger / manager now.
+  /// Sweeps every watched cluster / ledger / manager now. The utilization
+  /// index check is skipped (but still counted) while its inputs are
+  /// unchanged since the last clean one.
   void sweep();
 
   // ---- core::ManagerObserver --------------------------------------------
@@ -206,9 +217,29 @@ class InvariantOracle final : public core::ManagerObserver,
   /// Deposed-decision guard shared by the decision-channel manager hooks.
   void checkDecisionOwnership(const char* hook);
 
+  /// The oracle's copy of every input checkUtilizationIndex() reads from
+  /// one watched cluster, as of its last full check in sweep().
+  struct IndexInputs {
+    struct Node {
+      std::uint64_t util_bits = 0;  ///< lastUtilization(), bit-exact
+      bool up = false;
+      bool operator==(const Node&) const = default;
+    };
+    std::vector<Node> nodes;  ///< one per cluster node (size() included)
+    bool index_enabled = false;
+    std::uint64_t rebuilds = 0;  ///< indexRebuilds() *after* the check
+    bool clean = false;          ///< the last full check found no violation
+  };
+  /// checkUtilizationIndex() unless `inputs` still matches the cluster and
+  /// its last full check was clean; then only counts the check. Refreshes
+  /// `inputs` on every full check.
+  void sweepUtilizationIndex(const node::Cluster& cluster,
+                             IndexInputs& inputs);
+
   OracleConfig config_;
   sim::Simulator* sim_ = nullptr;
   std::vector<const node::Cluster*> clusters_;
+  std::vector<IndexInputs> index_inputs_;  ///< parallel to clusters_
   net::NetworkModel* net_ = nullptr;
   std::vector<const core::WorkloadLedger*> ledgers_;
   std::vector<core::ResourceManager*> managers_;
@@ -237,6 +268,12 @@ class InvariantOracle final : public core::ManagerObserver,
   std::uint64_t checks_run_ = 0;
   std::uint64_t violation_count_ = 0;
   std::vector<InvariantViolation> recorded_;
+
+  // Scratch reused across calls so the index checks do not allocate on
+  // every sweep.
+  std::vector<bool> listed_scratch_;          ///< checkReplicaSetIndex
+  std::vector<ProcessorId> grown_scratch_;    ///< checkUtilizationIndex
+  std::vector<ProcessorId> below_scratch_;    ///< checkUtilizationIndex
 };
 
 }  // namespace rtdrm::check

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "core/allocators.hpp"
 #include "core/eqf.hpp"
 #include "core/ledger.hpp"
@@ -154,6 +155,109 @@ TEST(InvariantOracle, ClusterUtilizationStaysInRange) {
   oracle.sweep();
   EXPECT_TRUE(oracle.ok());
   EXPECT_GE(oracle.checksRun(), 1u);
+}
+
+// A cluster under background load with distinct per-node targets, so
+// every sample moves the utilizations the index is keyed on.
+class IndexMemo : public ::testing::Test {
+ protected:
+  IndexMemo() : cluster_(sim_, 6) {
+    cluster_.attachBackgroundLoad(RngStreams(11));
+    for (std::uint32_t i = 0; i < cluster_.size(); ++i) {
+      cluster_.backgroundLoad(ProcessorId{i})
+          .setTarget(Utilization::fraction(0.1 * (i + 1)));
+    }
+    oracle_.watch(cluster_);
+    sim_.runFor(SimDuration::millis(200.0));
+    cluster_.sampleUtilization();
+  }
+
+  /// Sweeps once; true iff the sweep replayed the index queries.
+  bool sweepQueries() {
+    const std::uint64_t before = cluster_.cursorAdvances();
+    oracle_.sweep();
+    return cluster_.cursorAdvances() > before;
+  }
+
+  sim::Simulator sim_;
+  node::Cluster cluster_;
+  InvariantOracle oracle_;
+};
+
+TEST_F(IndexMemo, SweepCountsTheIndexCheckWhetherOrNotInputsChanged) {
+  std::uint64_t before = oracle_.checksRun();
+  oracle_.sweep();
+  const std::uint64_t per_sweep = oracle_.checksRun() - before;
+  EXPECT_GE(per_sweep, 3u);
+  for (int round = 0; round < 4; ++round) {
+    if (round % 2 == 1) {
+      sim_.runFor(SimDuration::millis(50.0));
+      cluster_.sampleUtilization();
+    }
+    before = oracle_.checksRun();
+    oracle_.sweep();
+    EXPECT_EQ(oracle_.checksRun() - before, per_sweep) << "round " << round;
+  }
+  EXPECT_TRUE(oracle_.ok()) << oracle_.report();
+}
+
+TEST_F(IndexMemo, UnchangedInputsSkipTheIndexQueries) {
+  EXPECT_TRUE(sweepQueries());
+  EXPECT_FALSE(sweepQueries());
+  // Simulated time and background jobs move on, but nothing the index
+  // reads changes until the next sample.
+  sim_.runFor(SimDuration::millis(30.0));
+  EXPECT_FALSE(sweepQueries());
+  EXPECT_TRUE(oracle_.ok()) << oracle_.report();
+}
+
+TEST_F(IndexMemo, EveryIndexInputChangeForcesAFullRecheck) {
+  ASSERT_TRUE(sweepQueries());
+  ASSERT_FALSE(sweepQueries());
+
+  sim_.runFor(SimDuration::millis(50.0));
+  cluster_.sampleUtilization();
+  EXPECT_TRUE(sweepQueries()) << "sampleUtilization";
+  EXPECT_FALSE(sweepQueries());
+
+  cluster_.applyGossipSample(ProcessorId{2}, Utilization::fraction(0.05));
+  EXPECT_TRUE(sweepQueries()) << "applyGossipSample";
+  EXPECT_FALSE(sweepQueries());
+
+  cluster_.setNodeUp(ProcessorId{3}, false);
+  EXPECT_TRUE(sweepQueries()) << "setNodeUp(down)";
+  EXPECT_FALSE(sweepQueries());
+  cluster_.setNodeUp(ProcessorId{3}, true);
+  EXPECT_TRUE(sweepQueries()) << "setNodeUp(up)";
+  EXPECT_FALSE(sweepQueries());
+
+  cluster_.setUtilizationIndexEnabled(false);
+  EXPECT_TRUE(sweepQueries()) << "index disabled";
+  EXPECT_FALSE(sweepQueries());
+  cluster_.setUtilizationIndexEnabled(true);
+  EXPECT_TRUE(sweepQueries()) << "index enabled";
+  EXPECT_FALSE(sweepQueries());
+
+  // A gossip that republishes the same value changes no input, but the
+  // rebuild another query then triggers is still re-verified.
+  cluster_.applyGossipSample(ProcessorId{2}, Utilization::fraction(0.05));
+  EXPECT_FALSE(sweepQueries()) << "same-value gossip";
+  const std::uint64_t rebuilds = cluster_.indexRebuilds();
+  (void)cluster_.leastUtilized({});
+  ASSERT_GT(cluster_.indexRebuilds(), rebuilds);
+  EXPECT_TRUE(sweepQueries()) << "index rebuilt outside the oracle";
+  EXPECT_FALSE(sweepQueries());
+  EXPECT_TRUE(oracle_.ok()) << oracle_.report();
+}
+
+TEST_F(IndexMemo, DirectIndexChecksAlwaysQuery) {
+  oracle_.sweep();
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t before = cluster_.cursorAdvances();
+    oracle_.checkUtilizationIndex(cluster_);
+    EXPECT_GT(cluster_.cursorAdvances(), before) << "call " << i;
+  }
+  EXPECT_TRUE(oracle_.ok()) << oracle_.report();
 }
 
 TEST(InvariantOracle, BusyConservationHoldsMidAndPostStretch) {
