@@ -1,6 +1,7 @@
 #include "net/ethernet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -8,17 +9,30 @@
 
 namespace rtdrm::net {
 
+void EthernetConfig::validate() const {
+  RTDRM_ASSERT_MSG(rate.bitsPerSecond() > 0.0, "rate must be positive");
+  RTDRM_ASSERT_MSG(mtu > Bytes::zero(), "mtu must be positive");
+  RTDRM_ASSERT_MSG(min_payload >= Bytes::zero(),
+                   "min payload must be non-negative");
+  RTDRM_ASSERT_MSG(frame_overhead >= Bytes::zero(),
+                   "frame overhead must be non-negative");
+  RTDRM_ASSERT_MSG(propagation >= SimDuration::zero(),
+                   "propagation must be non-negative");
+  RTDRM_ASSERT_MSG(host_ns_per_byte >= 0.0,
+                   "host ns per byte must be non-negative");
+}
+
 Ethernet::Ethernet(sim::Simulator& simulator, std::size_t node_count,
                    EthernetConfig config)
     : sim_(simulator),
       config_(config),
+      frame_timer_(config_),
       nics_(node_count),
+      backlog_((node_count + kWordBits - 1) / kWordBits, 0),
       marshal_busy_until_(node_count, SimTime::zero()),
       payload_bytes_from_(node_count, 0.0) {
   RTDRM_ASSERT(node_count > 0);
-  RTDRM_ASSERT(config_.mtu > Bytes::zero());
-  RTDRM_ASSERT(config_.rate.bitsPerSecond() > 0.0);
-  RTDRM_ASSERT(config_.host_ns_per_byte >= 0.0);
+  config_.validate();
 }
 
 void Ethernet::send(Message msg) {
@@ -70,7 +84,14 @@ void Ethernet::send(Message msg) {
 
 void Ethernet::onMarshalled(std::size_t nic, Pending p) {
   nics_[nic].push_back(std::move(p));
+  setBacklogged(nic, true);
   arbitrate();
+}
+
+void Ethernet::setBacklogged(std::size_t nic, bool on) {
+  const std::uint64_t bit = std::uint64_t{1} << (nic % kWordBits);
+  std::uint64_t& word = backlog_[nic / kWordBits];
+  word = on ? word | bit : word & ~bit;
 }
 
 Bytes Ethernet::frameChunk(const Pending& p) const {
@@ -78,9 +99,7 @@ Bytes Ethernet::frameChunk(const Pending& p) const {
 }
 
 SimDuration Ethernet::frameTime(const Pending& p) const {
-  // Short payloads are padded to the Ethernet minimum on the wire.
-  const Bytes chunk = std::max(frameChunk(p), config_.min_payload);
-  return config_.rate.transmissionTime(chunk + config_.frame_overhead);
+  return frame_timer_(frameChunk(p));
 }
 
 void Ethernet::arbitrate() {
@@ -95,23 +114,37 @@ std::size_t Ethernet::startFrame() {
   if (bus_busy_) {
     return kIdle;
   }
-  // Round-robin scan for a backlogged NIC, starting after the last served.
-  const std::size_t n = nics_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t nic = (rr_next_ + k) % n;
-    if (nics_[nic].empty()) {
-      continue;
+  // Round robin: the first backlogged NIC after the last one served.
+  const std::size_t nic = nextBacklogged();
+  if (nic == kIdle) {
+    return kIdle;
+  }
+  Pending& p = nics_[nic].front();
+  if (!p.started) {
+    p.started = true;
+    p.first_bit = sim_.now();
+  }
+  bus_busy_ = true;
+  busy_since_ = sim_.now();
+  rr_next_ = nic + 1 == nics_.size() ? 0 : nic + 1;
+  ++frames_;
+  return nic;
+}
+
+std::size_t Ethernet::nextBacklogged() const {
+  // The pointer's own word with the bits below it masked off, then every
+  // other word in order, then the pointer's word again in full: the wrap
+  // back to the NICs before the pointer.
+  const std::size_t words = backlog_.size();
+  std::size_t w = rr_next_ / kWordBits;
+  std::uint64_t bits =
+      backlog_[w] & (~std::uint64_t{0} << (rr_next_ % kWordBits));
+  for (std::size_t k = 0; k <= words; ++k) {
+    if (bits != 0) {
+      return w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
     }
-    Pending& p = nics_[nic].front();
-    if (!p.started) {
-      p.started = true;
-      p.first_bit = sim_.now();
-    }
-    bus_busy_ = true;
-    busy_since_ = sim_.now();
-    rr_next_ = (nic + 1) % n;
-    ++frames_;
-    return nic;
+    w = w + 1 == words ? 0 : w + 1;
+    bits = backlog_[w];
   }
   return kIdle;
 }
@@ -170,6 +203,9 @@ void Ethernet::finishFrame(std::size_t nic) {
                                  p.msg.payload};
     auto cb = std::move(p.msg.on_delivered);
     nics_[nic].pop_front();
+    if (nics_[nic].empty()) {
+      setBacklogged(nic, false);
+    }
     sim_.scheduleAfter(config_.propagation,
                        [this, cb = std::move(cb), receipt] {
       ++delivered_;

@@ -16,8 +16,17 @@
 // (sim::Simulator::advanceTo) instead of scheduling it. The schedule of
 // fired events, receipts and counters is the same as with one calendar
 // event per frame; only sim.events_scheduled drops.
+//
+// Arbitration is O(1) per frame. A backlog set keeps one bit per NIC, set
+// while its queue is non-empty (set when a marshalled message is queued,
+// cleared when the last one is popped). The next grant is the first set
+// bit at or after the round-robin pointer, wrapping once: a count of
+// trailing zeros per 64-bit word. That is the NIC the plain scan
+// rr, rr+1, ..., n-1, 0, ..., rr-1 would stop at, since it skips exactly
+// the empty queues, so every grant is unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -47,6 +56,40 @@ struct EthernetConfig {
   /// transmitted". 87.5 ns/B over 80 B tracks gives ~0.7 ms per hundred
   /// tracks — the slope the paper measured (Table 3).
   double host_ns_per_byte = 87.5;
+
+  /// Aborts on a non-positive rate or MTU, or on a negative padding,
+  /// frame overhead, propagation or marshalling cost.
+  void validate() const;
+};
+
+/// Wire time of one frame on a link: the payload chunk is padded to
+/// `min_payload` and `frame_overhead` is added. Full-MTU frames, the bulk
+/// of every long message, reuse one value computed at construction by the
+/// same expression, so it is bit-identical and costs no division.
+class FrameTimer {
+ public:
+  explicit FrameTimer(const EthernetConfig& config)
+      : rate_(config.rate),
+        mtu_(config.mtu),
+        min_payload_(config.min_payload),
+        overhead_(config.frame_overhead),
+        full_(padded(config.mtu)) {}
+
+  /// Wire time of a frame carrying `chunk` (at most one MTU) of payload.
+  SimDuration operator()(Bytes chunk) const {
+    return chunk >= mtu_ ? full_ : padded(chunk);
+  }
+
+ private:
+  SimDuration padded(Bytes chunk) const {
+    return rate_.transmissionTime(std::max(chunk, min_payload_) + overhead_);
+  }
+
+  BitRate rate_;
+  Bytes mtu_;
+  Bytes min_payload_;
+  Bytes overhead_;
+  SimDuration full_;
 };
 
 class Ethernet final : public NetworkModel {
@@ -116,6 +159,7 @@ class Ethernet final : public NetworkModel {
   /// startFrame()'s "no frame started": the bus is busy or every NIC
   /// queue is empty.
   static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kWordBits = 64;
 
   /// Begin serializing the next frame if the bus is idle and work exists,
   /// and schedule its end.
@@ -123,6 +167,9 @@ class Ethernet final : public NetworkModel {
   /// Puts the next frame on the wire if the bus is idle and work exists;
   /// returns its NIC, or kIdle. The caller owns the frame-end event.
   std::size_t startFrame();
+  /// First backlogged NIC at or after rr_next_, wrapping once; kIdle if
+  /// every queue is empty.
+  std::size_t nextBacklogged() const;
   /// Frame-end event: finishes the frame and runs the train that follows.
   void onFrameEnd(std::size_t nic);
   /// Applies the fate of the frame that just ended on `nic`.
@@ -132,13 +179,17 @@ class Ethernet final : public NetworkModel {
   /// Wire time of the next frame of `p` (overhead + clamped payload chunk).
   SimDuration frameTime(const Pending& p) const;
   Bytes frameChunk(const Pending& p) const;
+  void setBacklogged(std::size_t nic, bool on);
 
   /// Marshalling completed: move the message into the NIC wire queue.
   void onMarshalled(std::size_t nic, Pending p);
 
   sim::Simulator& sim_;
   EthernetConfig config_;
+  FrameTimer frame_timer_;
   std::vector<std::deque<Pending>> nics_;
+  /// Bit `nic % 64` of word `nic / 64` is set iff nics_[nic] is non-empty.
+  std::vector<std::uint64_t> backlog_;
   /// Per-NIC watermark: host marshalling stage is busy until this time.
   std::vector<SimTime> marshal_busy_until_;
   std::size_t rr_next_ = 0;   // round-robin arbitration pointer

@@ -35,6 +35,7 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
                                SwitchedFabricConfig config)
     : sim_(simulator),
       config_(std::move(config)),
+      frame_timer_(config_.link),
       marshal_busy_until_(node_count, SimTime::zero()),
       payload_bytes_from_(node_count, 0.0) {
   RTDRM_ASSERT(node_count > 0);
@@ -43,9 +44,7 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
                    "more segments than hosts");
   RTDRM_ASSERT(config_.port_buffer_frames >= 1);
   RTDRM_ASSERT(config_.switch_latency >= SimDuration::zero());
-  RTDRM_ASSERT(config_.link.mtu > Bytes::zero());
-  RTDRM_ASSERT(config_.link.rate.bitsPerSecond() > 0.0);
-  RTDRM_ASSERT(config_.link.host_ns_per_byte >= 0.0);
+  config_.link.validate();
 
   const std::size_t n = node_count;
   const std::size_t s_count = config_.segments;
@@ -231,12 +230,6 @@ void SwitchedFabric::send(Message msg) {
   }
 }
 
-SimDuration SwitchedFabric::frameTime(const Frame& f) const {
-  const Bytes padded = std::max(f.chunk, config_.link.min_payload);
-  return config_.link.rate.transmissionTime(padded +
-                                            config_.link.frame_overhead);
-}
-
 void SwitchedFabric::pump(std::size_t li) {
   Link& l = links_[li];
   if (l.busy || l.q.empty()) {
@@ -250,7 +243,7 @@ void SwitchedFabric::pump(std::size_t li) {
   l.busy = true;
   l.busy_since = sim_.now();
   ++frames_;
-  sim_.scheduleAfter(frameTime(f), [this, li] { onTxEnd(li); });
+  sim_.scheduleAfter(frame_timer_(f.chunk), [this, li] { onTxEnd(li); });
 }
 
 void SwitchedFabric::onTxEnd(std::size_t li) {
@@ -273,7 +266,7 @@ void SwitchedFabric::onTxEnd(std::size_t li) {
     return;
   }
 
-  const SimDuration dup_time = frameTime(l.q.front());
+  const SimDuration dup_time = frame_timer_(l.q.front().chunk);
   Frame f = std::move(l.q.front());
   l.q.pop_front();
   if (l.kind == LinkKind::kUplink && !f.counted) {
@@ -293,11 +286,13 @@ void SwitchedFabric::onTxEnd(std::size_t li) {
   } else {
     // Store-and-forward: the whole frame propagates, then the switch
     // spends its processing latency before the next egress queue.
-    const std::uint32_t seg = l.to;
+    auto ingress = [this, li, f = std::move(f)]() mutable {
+      onSwitchIngress(li, std::move(f));
+    };
+    static_assert(sizeof(ingress) <= sim::Simulator::Callback::kInlineSize,
+                  "a hop's closure must not allocate");
     sim_.scheduleAfter(config_.link.propagation + config_.switch_latency,
-                       [this, li, seg, f = std::move(f)]() mutable {
-      onSwitchIngress(li, seg, std::move(f));
-    });
+                       std::move(ingress));
   }
 
   if (fate == FrameFate::kDuplicate) {
@@ -337,10 +332,10 @@ std::size_t SwitchedFabric::routeEgress(std::uint32_t seg,
   return 0;
 }
 
-void SwitchedFabric::onSwitchIngress(std::size_t from_link,
-                                     std::uint32_t seg, Frame f) {
+void SwitchedFabric::onSwitchIngress(std::size_t from_link, Frame f) {
   --transit_frames_;
-  const std::size_t target = routeEgress(seg, f.state->msg.dst);
+  const std::size_t target =
+      routeEgress(links_[from_link].to, f.state->msg.dst);
   Link& t = links_[target];
   if (t.capacity > 0 && t.q.size() >= t.capacity) {
     // Bounded port buffer is full: tail-drop. The link layer NACKs the

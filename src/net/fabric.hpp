@@ -175,15 +175,17 @@ class SwitchedFabric final : public NetworkModel {
   void pump(std::size_t li);
   void onTxEnd(std::size_t li);
   void onDuplicateEnd(std::size_t li);
-  /// Frame handed to the switch of segment `seg` (after propagation and
-  /// switch latency); routes it to the next egress port or tail-drops.
-  void onSwitchIngress(std::size_t from_link, std::uint32_t seg, Frame f);
+  /// Frame handed to the switch at the far end of `from_link` (after
+  /// propagation and switch latency); routes it to the next egress port
+  /// or tail-drops. The closure carries no segment, so with the frame it
+  /// fits sim::EventFn's inline buffer: no heap allocation per hop.
+  void onSwitchIngress(std::size_t from_link, Frame f);
   void onHostArrival(Frame f);
-  SimDuration frameTime(const Frame& f) const;
   std::size_t routeEgress(std::uint32_t seg, ProcessorId dst) const;
 
   sim::Simulator& sim_;
   SwitchedFabricConfig config_;
+  FrameTimer frame_timer_;
   std::vector<std::uint32_t> seg_of_host_;
   std::vector<std::vector<ProcessorId>> hosts_of_seg_;
   std::vector<Link> links_;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 
 namespace rtdrm::net {
@@ -364,6 +368,101 @@ TEST(Ethernet, SameNodeHandoffExemptFromFrameFateHook) {
   EXPECT_EQ(hook_calls, 0);
   EXPECT_EQ(net.framesLost(), 0u);
   net.setFrameFateHook(nullptr);
+}
+
+// ---- frame wire time ------------------------------------------------------
+
+std::uint64_t bitsOf(SimDuration d) {
+  return std::bit_cast<std::uint64_t>(d.ms());
+}
+
+/// The expression the cached full-frame time replaces, written out.
+SimDuration directWireTime(const EthernetConfig& cfg, Bytes chunk) {
+  return cfg.rate.transmissionTime(std::max(chunk, cfg.min_payload) +
+                                   cfg.frame_overhead);
+}
+
+TEST(FrameTimer, FullFrameTimeIsBitEqualToDirectExpression) {
+  std::vector<EthernetConfig> configs(4);
+  configs[1].mtu = Bytes::of(20.0);  // mtu < min_payload: full frames pad
+  configs[2].rate = BitRate::mbps(33.3);
+  configs[2].mtu = Bytes::of(9000.0);
+  configs[2].frame_overhead = Bytes::zero();
+  configs[3].rate = BitRate::mbps(7.0);
+  configs[3].mtu = Bytes::of(1499.7);
+  configs[3].min_payload = Bytes::zero();
+  for (const EthernetConfig& cfg : configs) {
+    SCOPED_TRACE(cfg.mtu.count());
+    const FrameTimer timer(cfg);
+    EXPECT_EQ(bitsOf(timer(cfg.mtu)), bitsOf(directWireTime(cfg, cfg.mtu)));
+    for (const double chunk : {0.0, 1.0, 19.5, 46.0, 47.0, 1499.0}) {
+      if (Bytes::of(chunk) < cfg.mtu) {
+        EXPECT_EQ(bitsOf(timer(Bytes::of(chunk))),
+                  bitsOf(directWireTime(cfg, Bytes::of(chunk))));
+      }
+    }
+  }
+}
+
+TEST(FrameTimer, MtuBelowMinimumPadsEveryFrame) {
+  sim::Simulator sim;
+  EthernetConfig cfg = wireOnly();
+  cfg.mtu = Bytes::of(20.0);
+  Ethernet net(sim, 2, cfg);
+  net.send(Message{ProcessorId{0}, ProcessorId{1}, Bytes::of(50.0), "m", {}});
+  sim.runAll();
+  EXPECT_EQ(net.framesOnWire(), 3u);  // 20 + 20 + 10, each padded to 46
+  EXPECT_NEAR(net.busyTime().ms(), 3.0 * 84.0 * 8.0 / 100e6 * 1000.0, 1e-12);
+}
+
+// ---- config validation ----------------------------------------------------
+
+using EthernetConfigDeathTest = ::testing::Test;
+
+TEST(EthernetConfigDeathTest, RejectsNonPositiveRate) {
+  EthernetConfig cfg;
+  cfg.rate = BitRate::mbps(0.0);
+  EXPECT_DEATH(cfg.validate(), "rate must be positive");
+}
+
+TEST(EthernetConfigDeathTest, RejectsNonPositiveMtu) {
+  EthernetConfig cfg;
+  cfg.mtu = Bytes::zero();
+  EXPECT_DEATH(cfg.validate(), "mtu must be positive");
+}
+
+TEST(EthernetConfigDeathTest, RejectsNegativeMinPayload) {
+  EthernetConfig cfg;
+  cfg.min_payload = Bytes::of(-1.0);
+  EXPECT_DEATH(cfg.validate(), "min payload must be non-negative");
+}
+
+TEST(EthernetConfigDeathTest, RejectsNegativeFrameOverhead) {
+  EthernetConfig cfg;
+  cfg.frame_overhead = Bytes::of(-1.0);
+  EXPECT_DEATH(cfg.validate(), "frame overhead must be non-negative");
+}
+
+TEST(EthernetConfigDeathTest, RejectsNegativePropagation) {
+  EthernetConfig cfg;
+  cfg.propagation = SimDuration::micros(-1.0);
+  EXPECT_DEATH(cfg.validate(), "propagation must be non-negative");
+}
+
+TEST(EthernetConfigDeathTest, RejectsNegativeHostCost) {
+  EthernetConfig cfg;
+  cfg.host_ns_per_byte = -1.0;
+  EXPECT_DEATH(cfg.validate(), "host ns per byte must be non-negative");
+}
+
+TEST(EthernetConfigDeathTest, BusAndFabricConstructorsValidate) {
+  sim::Simulator sim;
+  EthernetConfig cfg;
+  cfg.propagation = SimDuration::micros(-1.0);
+  EXPECT_DEATH(Ethernet(sim, 2, cfg), "propagation");
+  SwitchedFabricConfig fabric;
+  fabric.link = cfg;
+  EXPECT_DEATH(SwitchedFabric(sim, 2, fabric), "propagation");
 }
 
 }  // namespace
