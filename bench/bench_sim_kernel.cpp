@@ -8,6 +8,8 @@
 // net::Ethernet twice: once on the calendar (a no-op post-event hook makes
 // every frame end a heap event) and once with frame trains advancing the
 // clock in place (Simulator::advanceTo); its "events" are wire frames.
+// A fabric hop case sends constant-delay hop events through fixed-delay
+// lanes and, for comparison, through the heap with scheduleAfter.
 // Prints ns/event & events/sec, cross-checks that both kernels of each
 // pair fire in the identical order (checksum), and writes
 // bench_out/sim_kernel.csv.
@@ -325,6 +327,96 @@ CaseResult frameTrainCase(std::uint64_t messages, bool force_calendar) {
   return r;
 }
 
+/// Fabric hops: `flows` frames in flight, each hopping with one of three
+/// constant delays in turn (a full frame's wire time, one propagation,
+/// propagation plus switch latency), over a heap background of 3/2 *
+/// `flows` timers at scrambled delays: the shape of a scale_fabric
+/// episode. `on_lanes` sends the hops through Simulator lanes, otherwise
+/// through scheduleAfter; the timers use the heap either way. The checksum
+/// folds every firing's (label, clock bits), so both must fire in the
+/// identical order.
+class FabricHops {
+ public:
+  FabricHops(std::uint64_t flows, double horizon_ms, bool on_lanes)
+      : on_lanes_(on_lanes), horizon_ms_(horizon_ms) {
+    for (int k = 0; k < 3; ++k) {
+      lanes_[k] = sim_.addLane(kDelays[k]);
+    }
+    for (std::uint64_t f = 0; f < flows; ++f) {
+      hop(f, static_cast<unsigned>(f % 3));
+    }
+    for (std::uint64_t t = 0; t < flows * 3 / 2; ++t) {
+      timer(t + flows, 0);
+    }
+  }
+
+  CaseResult run() {
+    const auto t0 = std::chrono::steady_clock::now();
+    sim_.runAll();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    CaseResult r;
+    r.best_sec = dt.count();
+    r.events = sim_.eventsExecuted();
+    r.checksum = sum_;
+    return r;
+  }
+
+ private:
+  static constexpr SimDuration kDelays[3] = {
+      SimDuration::millis(0.12304), SimDuration::millis(0.0005),
+      SimDuration::millis(0.0025)};
+
+  void fold(std::uint64_t label) {
+    sum_ = sum_ * 31 + label + std::bit_cast<std::uint64_t>(sim_.now().ms());
+  }
+
+  void hop(std::uint64_t flow, unsigned kind) {
+    fold(flow);
+    if (sim_.now().ms() >= horizon_ms_) {
+      return;
+    }
+    auto next = [this, flow, kind] { hop(flow, (kind + 1) % 3); };
+    if (on_lanes_) {
+      sim_.scheduleOnLane(lanes_[kind], std::move(next));
+    } else {
+      sim_.scheduleAfter(kDelays[kind], std::move(next));
+    }
+  }
+
+  void timer(std::uint64_t label, std::uint64_t tick) {
+    fold(label);
+    if (sim_.now().ms() >= horizon_ms_) {
+      return;
+    }
+    const double delay_ms =
+        0.05 + static_cast<double>((label * 7919 + tick * 104729) % 997) *
+                   1e-3;
+    sim_.scheduleAfter(SimDuration::millis(delay_ms), [this, label, tick] {
+      timer(label, tick + 1);
+    });
+  }
+
+  sim::Simulator sim_;
+  bool on_lanes_;
+  double horizon_ms_;
+  sim::LaneId lanes_[3];
+  std::uint64_t sum_ = 0;
+};
+
+CaseResult fabricHopCase(std::uint64_t flows, double horizon_ms,
+                         bool on_lanes) {
+  CaseResult best;
+  for (int rep = 0; rep < 3; ++rep) {
+    FabricHops hops(flows, horizon_ms, on_lanes);
+    const CaseResult r = hops.run();
+    if (rep == 0 || r.best_sec < best.best_sec) {
+      best = r;
+    }
+  }
+  return best;
+}
+
 /// End-to-end: one Fig. 9 triangular episode pair (both algorithms) at a
 /// mid-sweep workload on the production kernel. No legacy counterpart —
 /// the stack links only one kernel — so this row tracks wall clock across
@@ -404,6 +496,8 @@ int main(int argc, char** argv) {
   rows.push_back({"storm", "slab", stormCase<sim::Simulator>(256, 4000.0)});
   rows.push_back({"bus frame train", "calendar", frameTrainCase(200, true)});
   rows.push_back({"bus frame train", "advance", frameTrainCase(200, false)});
+  rows.push_back({"fabric hop", "heap", fabricHopCase(kBatch, 100.0, false)});
+  rows.push_back({"fabric hop", "lane", fabricHopCase(kBatch, 100.0, true)});
 
   std::cout << "\nEvent kernel microbench (best of 3)\n";
   std::cout << "  " << std::left << std::setw(16) << "case" << std::setw(10)
@@ -415,8 +509,8 @@ int main(int argc, char** argv) {
   }
 
   bool ok = true;
-  std::cout << "\nSpeedups (legacy / slab, calendar / advance) and "
-               "fire-order cross-check:\n";
+  std::cout << "\nSpeedups (legacy / slab, calendar / advance, heap / "
+               "lane) and fire-order cross-check:\n";
   for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
     const auto& legacy_row = rows[i];
     const auto& slab_row = rows[i + 1];

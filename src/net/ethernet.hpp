@@ -77,8 +77,11 @@ class FrameTimer {
 
   /// Wire time of a frame carrying `chunk` (at most one MTU) of payload.
   SimDuration operator()(Bytes chunk) const {
-    return chunk >= mtu_ ? full_ : padded(chunk);
+    return isFull(chunk) ? full_ : padded(chunk);
   }
+  /// True when `chunk` fills a frame, whose wire time is fullFrameTime().
+  bool isFull(Bytes chunk) const { return chunk >= mtu_; }
+  SimDuration fullFrameTime() const { return full_; }
 
  private:
   SimDuration padded(Bytes chunk) const {

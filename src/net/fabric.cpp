@@ -30,6 +30,18 @@ bool parseFabricTopology(const std::string& s, FabricTopology* out) {
   return false;
 }
 
+void SwitchedFabricConfig::validate() const {
+  link.validate();
+  RTDRM_ASSERT_MSG(segments >= 1, "segments must be at least 1");
+  RTDRM_ASSERT_MSG(port_buffer_frames >= 1,
+                   "port buffer must hold at least one frame");
+  RTDRM_ASSERT_MSG(switch_latency >= SimDuration::zero(),
+                   "switch latency must be non-negative");
+  for (const std::uint32_t seg : node_segment) {
+    RTDRM_ASSERT_MSG(seg < segments, "node_segment value out of range");
+  }
+}
+
 SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
                                std::size_t node_count,
                                SwitchedFabricConfig config)
@@ -39,12 +51,13 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
       marshal_busy_until_(node_count, SimTime::zero()),
       payload_bytes_from_(node_count, 0.0) {
   RTDRM_ASSERT(node_count > 0);
-  RTDRM_ASSERT(config_.segments >= 1);
+  config_.validate();
   RTDRM_ASSERT_MSG(config_.segments <= node_count,
                    "more segments than hosts");
-  RTDRM_ASSERT(config_.port_buffer_frames >= 1);
-  RTDRM_ASSERT(config_.switch_latency >= SimDuration::zero());
-  config_.link.validate();
+  full_frame_lane_ = sim_.addLane(frame_timer_.fullFrameTime());
+  propagation_lane_ = sim_.addLane(config_.link.propagation);
+  ingress_lane_ =
+      sim_.addLane(config_.link.propagation + config_.switch_latency);
 
   const std::size_t n = node_count;
   const std::size_t s_count = config_.segments;
@@ -56,8 +69,6 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
     RTDRM_ASSERT_MSG(config_.node_segment.size() == n,
                      "node_segment map size mismatch");
     for (std::size_t h = 0; h < n; ++h) {
-      RTDRM_ASSERT_MSG(config_.node_segment[h] < s_count,
-                       "node_segment value out of range");
       seg_of_host_[h] = config_.node_segment[h];
     }
   } else {
@@ -152,6 +163,20 @@ SwitchedFabric::SwitchedFabric(sim::Simulator& simulator,
                             {}, false, SimTime::zero()});
     }
   }
+  // Egress routing table: the trunk towards every remote segment.
+  trunk_to_.assign(s_count * s_count, 0);
+  for (std::size_t s = 0; s < s_count; ++s) {
+    for (std::size_t d = 0; d < s_count; ++d) {
+      if (d == s) {
+        continue;
+      }
+      const auto& nb = neighbors_[s];
+      const auto k = static_cast<std::size_t>(
+          std::find(nb.begin(), nb.end(), next_hop_[s][d]) - nb.begin());
+      RTDRM_ASSERT_MSG(k < nb.size(), "route points at a non-adjacent segment");
+      trunk_to_[s * s_count + d] = trunk_link_[s][k];
+    }
+  }
   for (std::size_t h = 0; h < n; ++h) {
     const std::uint32_t s = seg_of_host_[h];
     const std::uint32_t l_count =
@@ -182,8 +207,8 @@ void SwitchedFabric::send(Message msg) {
                                  sim_.now() + config_.link.propagation,
                                  msg.payload};
     auto cb = std::move(msg.on_delivered);
-    sim_.scheduleAfter(config_.link.propagation,
-                       [this, cb = std::move(cb), receipt] {
+    sim_.scheduleOnLane(propagation_lane_,
+                        [this, cb = std::move(cb), receipt] {
       ++delivered_;
       if (delivery_observer_) {
         delivery_observer_(receipt);
@@ -243,7 +268,12 @@ void SwitchedFabric::pump(std::size_t li) {
   l.busy = true;
   l.busy_since = sim_.now();
   ++frames_;
-  sim_.scheduleAfter(frame_timer_(f.chunk), [this, li] { onTxEnd(li); });
+  auto tx_end = [this, li] { onTxEnd(li); };
+  if (frame_timer_.isFull(f.chunk)) {
+    sim_.scheduleOnLane(full_frame_lane_, std::move(tx_end));
+  } else {
+    sim_.scheduleAfter(frame_timer_(f.chunk), std::move(tx_end));
+  }
 }
 
 void SwitchedFabric::onTxEnd(std::size_t li) {
@@ -279,8 +309,8 @@ void SwitchedFabric::onTxEnd(std::size_t li) {
 
   ++transit_frames_;
   if (l.kind == LinkKind::kDownlink) {
-    sim_.scheduleAfter(config_.link.propagation,
-                       [this, f = std::move(f)]() mutable {
+    sim_.scheduleOnLane(propagation_lane_,
+                        [this, f = std::move(f)]() mutable {
       onHostArrival(std::move(f));
     });
   } else {
@@ -291,8 +321,7 @@ void SwitchedFabric::onTxEnd(std::size_t li) {
     };
     static_assert(sizeof(ingress) <= sim::Simulator::Callback::kInlineSize,
                   "a hop's closure must not allocate");
-    sim_.scheduleAfter(config_.link.propagation + config_.switch_latency,
-                       std::move(ingress));
+    sim_.scheduleOnLane(ingress_lane_, std::move(ingress));
   }
 
   if (fate == FrameFate::kDuplicate) {
@@ -322,14 +351,7 @@ std::size_t SwitchedFabric::routeEgress(std::uint32_t seg,
   if (dst_seg == seg) {
     return downlink_of_host_[dst.value];
   }
-  const std::uint32_t next = next_hop_[seg][dst_seg];
-  for (std::size_t k = 0; k < neighbors_[seg].size(); ++k) {
-    if (neighbors_[seg][k] == next) {
-      return trunk_link_[seg][k];
-    }
-  }
-  RTDRM_ASSERT_MSG(false, "route points at a non-adjacent segment");
-  return 0;
+  return trunk_to_[seg * config_.segments + dst_seg];
 }
 
 void SwitchedFabric::onSwitchIngress(std::size_t from_link, Frame f) {
@@ -344,8 +366,8 @@ void SwitchedFabric::onSwitchIngress(std::size_t from_link, Frame f) {
     // frame is delayed — never destroyed — so conservation holds.
     ++frames_dropped_;
     ++transit_frames_;
-    sim_.scheduleAfter(config_.link.propagation,
-                       [this, from_link, f = std::move(f)]() mutable {
+    sim_.scheduleOnLane(propagation_lane_,
+                        [this, from_link, f = std::move(f)]() mutable {
       --transit_frames_;
       links_[from_link].q.push_back(std::move(f));
       pump(from_link);

@@ -19,11 +19,21 @@
 // and in-flight transit.
 //
 // Routing is static: shortest path over the switch graph (BFS, lowest
-// segment index breaks ties), fixed at construction. Topologies: a line
-// of switches (segment i trunks to i+1) or a star (every segment trunks
-// to segment 0). Hosts map onto segments in the same contiguous ceil
-// blocks the management plane uses for its partitions, so a partition's
-// chatter stays on its own segment by default.
+// segment index breaks ties), fixed at construction, and flattened into a
+// [segment][destination segment] -> trunk table so each hop routes in
+// O(1). Topologies: a line of switches (segment i trunks to i+1) or a
+// star (every segment trunks to segment 0). Hosts map onto segments in
+// the same contiguous ceil blocks the management plane uses for its
+// partitions, so a partition's chatter stays on its own segment by
+// default.
+//
+// Most hop events fire a constant delay after they are scheduled, so they
+// go to three fixed-delay lanes of the event calendar (sim::Simulator::
+// addLane) instead of its heap: the end of a full frame's serialization,
+// one propagation (downlink arrival, NACK return, same-node hand-off),
+// and propagation plus switch latency (switch ingress). Partial frames
+// and duplicate copies keep scheduleAfter. A lane event fires exactly
+// where the heap would have fired it, so the choice changes no outcome.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +74,11 @@ struct SwitchedFabricConfig {
   /// Optional explicit host->segment map (size == node_count, values <
   /// segments). Empty selects the default contiguous ceil blocks.
   std::vector<std::uint32_t> node_segment;
+
+  /// Aborts (RTDRM_ASSERT) on an invalid field, including the per-link
+  /// EthernetConfig. The checks that need the host count (segments <=
+  /// hosts, node_segment's size) stay in the SwitchedFabric constructor.
+  void validate() const;
 };
 
 class SwitchedFabric final : public NetworkModel {
@@ -181,6 +196,7 @@ class SwitchedFabric final : public NetworkModel {
   /// fits sim::EventFn's inline buffer: no heap allocation per hop.
   void onSwitchIngress(std::size_t from_link, Frame f);
   void onHostArrival(Frame f);
+  /// O(1): the host's downlink on its own segment, else a table lookup.
   std::size_t routeEgress(std::uint32_t seg, ProcessorId dst) const;
 
   sim::Simulator& sim_;
@@ -197,6 +213,15 @@ class SwitchedFabric final : public NetworkModel {
   std::vector<std::vector<std::uint32_t>> next_hop_;
   /// [from][neighbor order] -> trunk link index.
   std::vector<std::vector<std::size_t>> trunk_link_;
+  /// [from * segments + to] -> trunk link of the first hop from `from`
+  /// towards `to` (unused when from == to).
+  std::vector<std::size_t> trunk_to_;
+  /// Calendar lanes of the three constant hop delays: a full frame's wire
+  /// time, one propagation (downlink arrival, NACK return, same-node
+  /// hand-off), and propagation plus switch latency (switch ingress).
+  sim::LaneId full_frame_lane_;
+  sim::LaneId propagation_lane_;
+  sim::LaneId ingress_lane_;
   std::vector<SimTime> marshal_busy_until_;
   /// Frames in transit between queues (propagation / switch processing /
   /// NACK return) — part of the framesInFabric() recount.

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -32,7 +33,7 @@ class Simulator::RunScope {
 std::uint32_t Simulator::acquireSlot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
+    free_head_ = slots_[idx].link;
     return idx;
   }
   RTDRM_ASSERT_MSG(slots_.size() < kNoSlot, "event slab exhausted");
@@ -44,7 +45,7 @@ void Simulator::releaseSlot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.cb = nullptr;  // release the closure immediately
   ++s.generation;  // invalidates the outstanding EventId and heap entry
-  s.next_free = free_head_;
+  s.link = free_head_;
   free_head_ = idx;
 }
 
@@ -129,12 +130,110 @@ void Simulator::pruneStale() {
   }
 }
 
+void Simulator::lanePush(std::uint32_t k, const HeapEntry& e) {
+  Lane& lane = lanes_[k];
+  if (lane.size == 0 &&
+      (lane_head_ == kEmpty || firesBefore(e, lanes_[lane_head_].front()))) {
+    lane_head_ = k;  // pushing onto a non-empty lane keeps its front
+  }
+  if (lane.size == lane.ring.size()) {
+    // Full: unroll into a ring of twice the capacity, head at 0.
+    std::vector<HeapEntry> grown(std::max<std::size_t>(16, 2 * lane.size));
+    for (std::size_t i = 0; i < lane.size; ++i) {
+      grown[i] = lane.at(i);
+    }
+    lane.ring = std::move(grown);
+    lane.mask = lane.ring.size() - 1;
+    lane.head = 0;
+  }
+  lane.ring[(lane.head + lane.size) & lane.mask] = e;
+  ++lane.size;
+  ++lane_entries_;
+  if (lane.size > peak_lane_depth_) {
+    peak_lane_depth_ = lane.size;
+  }
+}
+
+void Simulator::compactLane(std::uint32_t k) {
+  Lane& lane = lanes_[k];
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < lane.size; ++i) {
+    const HeapEntry e = lane.at(i);
+    if (slots_[e.slot].generation == e.generation) {
+      lane.ring[(lane.head + kept++) & lane.mask] = e;
+    }
+  }
+  lane_entries_ -= lane.size - kept;
+  lane.size = kept;
+  lane.stale = 0;
+  findLaneHead();
+}
+
+void Simulator::findLaneHead() {
+  lane_head_ = kEmpty;
+  for (std::uint32_t k = 0; k < lanes_.size(); ++k) {
+    if (lanes_[k].size != 0 &&
+        (lane_head_ == kEmpty ||
+         firesBefore(lanes_[k].front(), lanes_[lane_head_].front()))) {
+      lane_head_ = k;
+    }
+  }
+}
+
+Simulator::HeapEntry Simulator::lanePopFront(std::uint32_t k) {
+  Lane& lane = lanes_[k];
+  const HeapEntry e = lane.front();
+  lane.head = (lane.head + 1) & lane.mask;
+  --lane.size;
+  --lane_entries_;
+  findLaneHead();
+  return e;
+}
+
+void Simulator::popStale(std::uint32_t src) {
+  popHead(src);
+  dropStale(src);
+}
+
+LaneId Simulator::addLane(SimDuration delay) {
+  RTDRM_ASSERT_MSG(delay >= SimDuration::zero(), "negative delay");
+  for (std::uint32_t k = 0; k < lanes_.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(lanes_[k].delay.ms()) ==
+        std::bit_cast<std::uint64_t>(delay.ms())) {
+      return LaneId{k};  // one FIFO per delay: the entries interleave sorted
+    }
+  }
+  RTDRM_ASSERT_MSG(lanes_.size() < kInHeap, "too many lanes");
+  lanes_.push_back(Lane{delay, {}, 0, 0, 0, 0});
+  return LaneId{static_cast<std::uint32_t>(lanes_.size() - 1)};
+}
+
+EventId Simulator::scheduleOnLane(LaneId lane, Callback cb) {
+  RTDRM_ASSERT_MSG(lane.value < lanes_.size(), "unknown lane");
+  RTDRM_ASSERT(cb != nullptr);
+  Lane& l = lanes_[lane.value];
+  // The same addition scheduleAfter(delay) makes, so the bits match.
+  const double at_ms = (now_ + l.delay).ms();
+  RTDRM_ASSERT_MSG(l.size == 0 || l.at(l.size - 1).time_ms <= at_ms,
+                   "lane entry would fire before the lane's tail");
+  const std::uint32_t idx = acquireSlot();
+  Slot& s = slots_[idx];
+  s.cb = std::move(cb);
+  s.link = lane.value;
+  lanePush(lane.value, HeapEntry{at_ms, next_seq_++, idx, s.generation});
+  ++live_;
+  ++events_scheduled_;
+  ++lane_events_;
+  return EventId{(static_cast<std::uint64_t>(s.generation) << 32) | idx};
+}
+
 EventId Simulator::scheduleAt(SimTime at, Callback cb) {
   RTDRM_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   RTDRM_ASSERT(cb != nullptr);
   const std::uint32_t idx = acquireSlot();
   Slot& s = slots_[idx];
   s.cb = std::move(cb);
+  s.link = kInHeap;
   heapPush(HeapEntry{at.ms(), next_seq_++, idx, s.generation});
   ++live_;
   ++events_scheduled_;
@@ -155,23 +254,33 @@ bool Simulator::cancel(EventId id) {
   if (gen == 0 || idx >= slots_.size() || slots_[idx].generation != gen) {
     return false;  // never existed, already fired, or already cancelled
   }
+  const std::uint32_t where = slots_[idx].link;
   releaseSlot(idx);
   --live_;
-  ++stale_;
   ++events_cancelled_;
-  // Keep the heap at most half dead so memory tracks the live count.
-  if (stale_ > heap_.size() / 2 && heap_.size() > 64) {
-    pruneStale();
+  // Keep the heap and each lane at most half dead so memory tracks the
+  // live count. Each container counts only its own stale entries.
+  if (where == kInHeap) {
+    ++stale_;
+    if (stale_ > heap_.size() / 2 && heap_.size() > 64) {
+      pruneStale();
+    }
+  } else {
+    Lane& lane = lanes_[where];
+    ++lane.stale;
+    if (lane.stale > lane.size / 2 && lane.size > 64) {
+      compactLane(where);
+    }
   }
   return true;
 }
 
-bool Simulator::fireHead() {
-  const HeapEntry e = heap_[0];
-  heapPopHead();
+// Inline, like fireNext: each run loop keeps its heap path free of calls.
+inline bool Simulator::fireHead(std::uint32_t src) {
+  const HeapEntry e = popHead(src);
   Slot& s = slots_[e.slot];
   if (s.generation != e.generation) {
-    --stale_;  // cancelled earlier; its closure is long gone
+    dropStale(src);  // cancelled earlier; its closure is long gone
     return false;
   }
   now_ = SimTime::millis(e.time_ms);
@@ -184,6 +293,10 @@ bool Simulator::fireHead() {
     post_hook_();
   }
   return true;
+}
+
+inline bool Simulator::fireNext(std::uint32_t src) {
+  return src == kInHeap ? fireHead(kInHeap) : fireHead(src);
 }
 
 bool Simulator::advanceTo(SimTime t) {
@@ -207,9 +320,11 @@ bool Simulator::runUntil(SimTime until) {
   if (consumeStop()) {
     return false;  // stop requested between runs: honor it, fire nothing
   }
-  const RunScope scope(*this, RunContext{true, until.ms()});
-  while (!heap_.empty() && heap_[0].time_ms <= until.ms()) {
-    if (fireHead() && consumeStop()) {
+  const double until_ms = until.ms();
+  const RunScope scope(*this, RunContext{true, until_ms});
+  for (std::uint32_t src; (src = headSource()) != kEmpty &&
+                          headEntry(src).time_ms <= until_ms;) {
+    if (fireNext(src) && consumeStop()) {
       return false;  // clock stays at the event that requested the stop
     }
   }
@@ -226,27 +341,12 @@ bool Simulator::runAll() {
   const RunScope scope(
       *this,
       RunContext{true, std::numeric_limits<double>::infinity()});
-  while (!heap_.empty()) {
-    if (fireHead() && consumeStop()) {
+  for (std::uint32_t src; (src = headSource()) != kEmpty;) {
+    if (fireNext(src) && consumeStop()) {
       return false;
     }
   }
   return true;
-}
-
-bool Simulator::peekNextEvent(SimTime* out) {
-  // Drop stale (cancelled) heads so the reported time is the next event
-  // that would actually fire, not a stale upper bound.
-  while (!heap_.empty()) {
-    const HeapEntry& e = heap_[0];
-    if (slots_[e.slot].generation == e.generation) {
-      *out = SimTime::millis(e.time_ms);
-      return true;
-    }
-    heapPopHead();
-    --stale_;
-  }
-  return false;
 }
 
 void Simulator::exportMetrics(obs::MetricsRegistry& reg) const {
@@ -255,6 +355,8 @@ void Simulator::exportMetrics(obs::MetricsRegistry& reg) const {
   reg.counter("sim.events_cancelled").set(events_cancelled_);
   reg.gauge("sim.pending_events").set(static_cast<double>(live_));
   reg.gauge("sim.peak_heap_depth").set(static_cast<double>(peak_heap_depth_));
+  reg.counter("sim.lane_events").set(lane_events_);
+  reg.gauge("sim.peak_lane_depth").set(static_cast<double>(peak_lane_depth_));
   reg.gauge("sim.now_ms").set(now_.ms());
 }
 
@@ -262,8 +364,8 @@ bool Simulator::step() {
   // A single-event run: nothing may fast-forward past the one event.
   const RunScope scope(*this, RunContext{});
   // Skip over stale entries so "step" always means "execute one live event".
-  while (!heap_.empty()) {
-    if (fireHead()) {
+  for (std::uint32_t src; (src = headSource()) != kEmpty;) {
+    if (fireNext(src)) {
       return true;
     }
   }

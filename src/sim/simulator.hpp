@@ -22,6 +22,14 @@
 //     proportional to the live event count.
 //   * EventIds carry (generation << 32 | slot): a stale id — already fired
 //     or cancelled, slot since reused — fails the generation check.
+//   * Fixed-delay lanes: events that all fire the same delay after they
+//     are scheduled (a network hop's propagation, a full frame's wire
+//     time) can go to a lane, a FIFO ring of the same 24-byte entries,
+//     instead of the heap. A lane is sorted by construction, so its head
+//     is its earliest entry; the calendar fires the earlier, by (time,
+//     seq), of the heap head and the lane heads. The order is exactly a
+//     heap-only calendar's (see addLane). With no lane entry pending the
+//     run loop checks one counter and takes the plain heap path.
 //   * Closures are stored as sim::EventFn (event_fn.hpp): move-only, with
 //     inline storage for the common small captures.
 //
@@ -49,6 +57,15 @@ struct EventId {
   constexpr auto operator<=>(const EventId&) const = default;
 };
 
+/// Handle to a fixed-delay lane of one Simulator (see Simulator::addLane).
+struct LaneId {
+  std::uint32_t value = 0;
+  constexpr auto operator<=>(const LaneId&) const = default;
+};
+
+/// Test-only access to the kernel's internals (defined by tests).
+struct SimulatorTestAccess;
+
 class Simulator {
  public:
   using Callback = EventFn<void()>;
@@ -64,6 +81,27 @@ class Simulator {
   EventId scheduleAt(SimTime at, Callback cb);
   /// Schedule `cb` after a delay relative to now (delay >= 0).
   EventId scheduleAfter(SimDuration delay, Callback cb);
+
+  /// Opens a fixed-delay lane: every event scheduled on it fires `delay`
+  /// (>= 0) after the moment it is scheduled. Lanes whose delays are
+  /// bitwise equal are one lane, so asking twice returns the same id.
+  ///
+  /// scheduleOnLane(lane, cb) is scheduleAfter(delay, cb) in everything
+  /// observable: the time is the same `now() + delay` addition, the entry
+  /// takes its slot and sequence number from the same counters, and its
+  /// EventId, cancel(), pendingEvents(), the event counters, step(),
+  /// runUntil horizons, stop handling, advanceTo() and peekNextEvent()
+  /// treat it exactly alike. Only the container differs: the entry is
+  /// appended to the lane's FIFO instead of pushed on the heap.
+  ///
+  /// Why the order is exact: now() never decreases, IEEE round-to-nearest
+  /// addition is monotone, and sequence numbers only grow. So each lane
+  /// is sorted by (time, seq) as it is filled, its head is its earliest
+  /// entry, and firing the earlier of the heap head and the lane heads
+  /// gives the order a heap-only calendar gives. scheduleOnLane asserts
+  /// the sortedness it relies on.
+  LaneId addLane(SimDuration delay);
+  EventId scheduleOnLane(LaneId lane, Callback cb);
 
   /// Cancel a pending event. Returns false if it already fired, was already
   /// cancelled, or never existed. O(1): the closure is released here.
@@ -116,8 +154,18 @@ class Simulator {
 
   /// Time of the next live event without executing it; false when the
   /// calendar is empty. Prunes stale (cancelled) heads as a side effect,
-  /// so the answer is exact, not an upper bound.
-  bool peekNextEvent(SimTime* out);
+  /// so the answer is exact, not an upper bound. Inline: advanceTo() asks
+  /// this once per bus frame.
+  bool peekNextEvent(SimTime* out) {
+    for (std::uint32_t src; (src = headSource()) != kEmpty; popStale(src)) {
+      const HeapEntry& e = headEntry(src);
+      if (slots_[e.slot].generation == e.generation) {
+        *out = SimTime::millis(e.time_ms);
+        return true;
+      }
+    }
+    return false;
+  }
 
   /// Installs a hook invoked after every executed event's callback returns
   /// (correctness oracles sweep system invariants here). Pass nullptr to
@@ -149,19 +197,33 @@ class Simulator {
   std::size_t pendingEvents() const { return live_; }
   std::uint64_t eventsScheduled() const { return events_scheduled_; }
   std::uint64_t eventsCancelled() const { return events_cancelled_; }
-  /// High-water mark of the calendar heap (live + stale entries).
+  /// High-water mark of the calendar heap (live + stale entries). Counts
+  /// heap entries only: events waiting in a lane are not in the heap.
   std::size_t peakHeapDepth() const { return peak_heap_depth_; }
+  /// Events scheduled on lanes so far (a subset of eventsScheduled()).
+  std::uint64_t laneEvents() const { return lane_events_; }
+  /// High-water mark of the deepest lane (live + stale entries).
+  std::size_t peakLaneDepth() const { return peak_lane_depth_; }
 
   /// Publishes kernel counters into `reg` under "sim." names.
   void exportMetrics(obs::MetricsRegistry& reg) const;
 
  private:
+  friend struct SimulatorTestAccess;
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// Where a pending entry waits: the heap, or else a lane index.
+  static constexpr std::uint32_t kInHeap = 0xfffffffeu;
+  /// headSource() of an empty calendar.
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
 
   struct Slot {
     Callback cb;
     std::uint32_t generation = 1;  // bumped on release; 0 is never valid
-    std::uint32_t next_free = kNoSlot;
+    /// While free: the next free slot (kNoSlot ends the list). While
+    /// pending: where its entry waits (kInHeap or a lane index), so
+    /// cancel() charges the right container's stale count.
+    std::uint32_t link = kNoSlot;
   };
 
   struct HeapEntry {
@@ -178,16 +240,78 @@ class Simulator {
     return a.seq < b.seq;
   }
 
+  /// A FIFO ring of entries, sorted by (time, seq) because they all fire
+  /// `delay` after they were scheduled. The capacity is a power of two
+  /// that doubles when the ring is full, so it holds the lane's peak
+  /// depth; stale entries are compacted away like the heap's.
+  struct Lane {
+    SimDuration delay;
+    std::vector<HeapEntry> ring;
+    std::size_t mask = 0;   // ring.size() - 1 once the ring is allocated
+    std::size_t head = 0;
+    std::size_t size = 0;
+    std::size_t stale = 0;  // cancelled entries still in the ring
+
+    const HeapEntry& front() const { return ring[head]; }
+    const HeapEntry& at(std::size_t i) const {
+      return ring[(head + i) & mask];
+    }
+  };
+
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t idx);
   void heapPush(const HeapEntry& e);
   void heapPopHead();
   /// Drops stale entries and rebuilds the heap in place, O(n).
   void pruneStale();
+  void lanePush(std::uint32_t k, const HeapEntry& e);
+  /// Drops lane k's stale entries in place, keeping the order.
+  void compactLane(std::uint32_t k);
+  /// Recomputes lane_head_ after a lane's front changed.
+  void findLaneHead();
 
-  /// Pops the head entry; executes it unless stale. Returns true when a
-  /// live event ran. Pre: heap non-empty.
-  bool fireHead();
+  /// Where the earliest pending entry (live or stale) waits: kInHeap, a
+  /// lane index, or kEmpty. With no lane entry pending this is one
+  /// counter test on top of the heap-only check; otherwise one more
+  /// comparison, against the cached earliest lane.
+  std::uint32_t headSource() const {
+    if (lane_entries_ == 0) {
+      return heap_.empty() ? kEmpty : kInHeap;
+    }
+    return heap_.empty() || firesBefore(lanes_[lane_head_].front(), heap_[0])
+               ? lane_head_
+               : kInHeap;
+  }
+  const HeapEntry& headEntry(std::uint32_t src) const {
+    return src == kInHeap ? heap_[0] : lanes_[src].front();
+  }
+  /// Removes and returns the head entry of `src` (not kEmpty).
+  HeapEntry popHead(std::uint32_t src) {
+    if (src == kInHeap) {
+      const HeapEntry e = heap_[0];
+      heapPopHead();
+      return e;
+    }
+    return lanePopFront(src);
+  }
+  HeapEntry lanePopFront(std::uint32_t k);
+  /// A cancelled entry of `src` was popped: its container holds one less.
+  void dropStale(std::uint32_t src) {
+    if (src == kInHeap) {
+      --stale_;
+    } else {
+      --lanes_[src].stale;
+    }
+  }
+  /// Pops the head of `src`, known to be stale (out of line: rare).
+  void popStale(std::uint32_t src);
+
+  /// Pops the head entry of `src` (a headSource() result other than
+  /// kEmpty); executes it unless stale. Returns true when a live event ran.
+  bool fireHead(std::uint32_t src);
+  /// fireHead(src) with the heap case spelled out, so that it compiles to
+  /// the heap-only calendar's code: runs without lanes pay nothing extra.
+  bool fireNext(std::uint32_t src);
 
   /// Run-loop context that advanceTo() checks. Each run entry point
   /// installs its own (step() installs "no run") and restores the
@@ -213,6 +337,8 @@ class Simulator {
   std::uint64_t events_scheduled_ = 0;
   std::uint64_t events_cancelled_ = 0;
   std::size_t peak_heap_depth_ = 0;
+  std::uint64_t lane_events_ = 0;
+  std::size_t peak_lane_depth_ = 0;
   std::atomic<bool> stop_requested_{false};
   RunContext run_;
 
@@ -221,6 +347,11 @@ class Simulator {
   std::vector<HeapEntry> heap_;       // 4-ary min-heap by (time, seq)
   std::size_t live_ = 0;              // scheduled and not cancelled
   std::size_t stale_ = 0;             // cancelled entries still in heap_
+  std::vector<Lane> lanes_;           // index == LaneId::value
+  std::size_t lane_entries_ = 0;      // entries in all lanes, stale too
+  /// The non-empty lane whose front fires first; kEmpty when every lane
+  /// is empty (lane_entries_ == 0).
+  std::uint32_t lane_head_ = kEmpty;
 };
 
 /// A recurring activity: reschedules itself every `period` until stopped.

@@ -455,6 +455,47 @@ TEST(EthernetConfigDeathTest, RejectsNegativeHostCost) {
   EXPECT_DEATH(cfg.validate(), "host ns per byte must be non-negative");
 }
 
+using SwitchedFabricConfigDeathTest = ::testing::Test;
+
+TEST(SwitchedFabricConfigDeathTest, RejectsZeroSegments) {
+  SwitchedFabricConfig cfg;
+  cfg.segments = 0;
+  EXPECT_DEATH(cfg.validate(), "segments must be at least 1");
+}
+
+TEST(SwitchedFabricConfigDeathTest, RejectsZeroPortBuffer) {
+  SwitchedFabricConfig cfg;
+  cfg.port_buffer_frames = 0;
+  EXPECT_DEATH(cfg.validate(), "port buffer must hold at least one frame");
+}
+
+TEST(SwitchedFabricConfigDeathTest, RejectsNegativeSwitchLatency) {
+  SwitchedFabricConfig cfg;
+  cfg.switch_latency = SimDuration::micros(-1.0);
+  EXPECT_DEATH(cfg.validate(), "switch latency must be non-negative");
+}
+
+TEST(SwitchedFabricConfigDeathTest, RejectsOutOfRangeNodeSegment) {
+  SwitchedFabricConfig cfg;
+  cfg.segments = 2;
+  cfg.node_segment = {0, 1, 2};
+  EXPECT_DEATH(cfg.validate(), "node_segment value out of range");
+}
+
+TEST(SwitchedFabricConfigDeathTest, ValidatesItsLink) {
+  SwitchedFabricConfig cfg;
+  cfg.link.mtu = Bytes::zero();
+  EXPECT_DEATH(cfg.validate(), "mtu must be positive");
+}
+
+TEST(SwitchedFabricConfigDeathTest, DefaultsAndConstructorPass) {
+  SwitchedFabricConfig cfg;
+  cfg.validate();
+  cfg.segments = 0;
+  sim::Simulator sim;
+  EXPECT_DEATH(SwitchedFabric(sim, 4, cfg), "segments must be at least 1");
+}
+
 TEST(EthernetConfigDeathTest, BusAndFabricConstructorsValidate) {
   sim::Simulator sim;
   EthernetConfig cfg;

@@ -160,6 +160,7 @@ int applyNetWorkloadFlags(const std::string& net_model,
   }
   cfg->scenario.fabric.port_buffer_frames =
       static_cast<std::size_t>(std::max<std::int64_t>(1, port_buffer));
+  cfg->scenario.fabric.validate();
   if (!workload::parseWorkloadMix(workload_mix, &cfg->workload_mix)) {
     std::cerr << "unknown workload mix '" << workload_mix
               << "' (paper | pareto | surge | multi)\n";
