@@ -55,9 +55,7 @@ experiments::EpisodeConfig makeEpisode(const BenchConfig& cfg,
   ep.scenario.node_count = cfg.nodes;
   ep.periods = cfg.periods;
   if (plane) {
-    ep.plane.managers = cfg.managers;
-    ep.plane.gossip_interval = spec.period * 0.2;
-    ep.plane.staleness_bound = spec.period * 0.8;
+    ep.plane = core::PlaneConfig::scaledTo(spec.period, cfg.managers);
     ep.manager_detector.timeout = SimDuration::millis(timeout_ms);
     if (crash) {
       ep.manager_crash_at_period = cfg.crash_period;

@@ -46,8 +46,13 @@ void reconcile(std::string& out, const char* what, std::uint64_t obs_value,
 
 }  // namespace
 
-std::string ShrinkSpec::cliFlags() const {
+std::string FuzzSpec::cliFlags() const {
   std::string out;
+  for (auto d = kFuzzDimensions.rbegin(); d != kFuzzDimensions.rend(); ++d) {
+    if (has(d->dim)) {
+      out += std::string(" --") + d->flag;
+    }
+  }
   if (max_subtasks > 0) {
     out += " --max-subtasks=" + std::to_string(max_subtasks);
   }
@@ -56,24 +61,6 @@ std::string ShrinkSpec::cliFlags() const {
   }
   if (flatten_workload) {
     out += " --flat";
-  }
-  if (drop_faults) {
-    out += " --drop-faults";
-  }
-  if (drop_manager_faults) {
-    out += " --drop-manager-faults";
-  }
-  if (drop_sched) {
-    out += " --drop-sched";
-  }
-  if (drop_period_adjust) {
-    out += " --drop-period-adjust";
-  }
-  if (drop_net_topology) {
-    out += " --drop-net-topology";
-  }
-  if (drop_workload_mix) {
-    out += " --drop-workload-mix";
   }
   return out;
 }
@@ -129,12 +116,10 @@ std::string FuzzScenario::summary() const {
   return os.str();
 }
 
-FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
-                              bool with_faults, bool with_manager_faults,
-                              bool with_sched, bool with_period_adjust,
-                              bool with_net_topology, bool with_workload_mix) {
+FuzzScenario makeFuzzScenario(std::uint64_t seed, const FuzzSpec& spec) {
   // Every draw below happens unconditionally and in a fixed order, so the
-  // same seed yields the same scenario no matter which caps apply.
+  // same seed yields the same scenario no matter which dimensions and caps
+  // apply.
   RngStreams streams(seed);
   Xoshiro256 g = streams.get("fuzz-gen");
 
@@ -237,8 +222,7 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
 
   // ---- fault-schedule draws ---------------------------------------------
   // Drawn for every seed, strictly after every base-scenario draw, so the
-  // base scenario is byte-identical whether or not faults are applied, and
-  // dropping faults is just one more truncation cap.
+  // base scenario is byte-identical whether or not faults are applied.
   fault::FaultPlan plan;
   plan.seed = seed ^ 0x9E3779B97F4A7C15ULL;
   const double horizon_ms = period_ms * static_cast<double>(periods_full);
@@ -355,8 +339,8 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
   const double period_step_draw = g.uniform(0.1, 0.5);
 
   // Network-topology and workload-mix draws: appended after the sched and
-  // elastic-period draws, so dropping either dimension reproduces the base
-  // scenario (and every narrower dimension stack) byte for byte.
+  // elastic-period draws, so every narrower configuration of the seed keeps
+  // its exact scenario whether or not these dimensions apply.
   const bool net_switched_draw = g.uniform01() < 0.75;
   const auto segments_draw =
       static_cast<std::size_t>(g.uniformInt(2, 4));
@@ -375,10 +359,7 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
       static_cast<std::size_t>(g.uniformInt(1, 4));
   const double contender_payload_draw = g.uniform(4000.0, 40000.0);
 
-  const bool apply_faults = with_faults && !shrink.drop_faults;
-  const bool apply_manager_faults =
-      with_manager_faults && !shrink.drop_manager_faults;
-  if (apply_manager_faults) {
+  if (spec.has(FuzzDim::kManagerFaults)) {
     s.managers = std::min(managers_draw, s.node_count);
     fault::ManagerCrashFault mc;
     mc.manager = mgr_target_draw % static_cast<std::uint32_t>(s.managers);
@@ -390,30 +371,30 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
     }
     plan.manager_crashes.push_back(mc);
   }
-  if (!apply_faults) {
+  if (!spec.has(FuzzDim::kFaults)) {
     plan.crashes.clear();
     plan.throttles.clear();
     plan.links.clear();
     plan.clock_outages.clear();
   }
-  if (apply_faults || apply_manager_faults) {
+  if (spec.has(FuzzDim::kFaults) || spec.has(FuzzDim::kManagerFaults)) {
     s.faults = std::move(plan);
   }
-  if (with_sched && !shrink.drop_sched) {
+  if (spec.has(FuzzDim::kSched)) {
     s.sched = sched_draw;
   }
-  if (with_period_adjust && !shrink.drop_period_adjust) {
+  if (spec.has(FuzzDim::kPeriodAdjust)) {
     s.spec.max_period = SimDuration::millis(period_ms * max_period_mult);
     s.manager.allow_period_adjust = true;
     s.manager.period_adjust_step = period_step_draw;
   }
-  if (with_net_topology && !shrink.drop_net_topology && net_switched_draw) {
+  if (spec.has(FuzzDim::kNetTopology) && net_switched_draw) {
     s.net_kind = net::NetKind::kSwitched;
     s.fabric.segments = std::min(segments_draw, s.node_count);
     s.fabric.topology = topo_draw;
     s.fabric.port_buffer_frames = port_buffer_draw;
   }
-  if (with_workload_mix && !shrink.drop_workload_mix) {
+  if (spec.has(FuzzDim::kWorkloadMix)) {
     s.workload_mix = mix_draw;
     if (mix_draw == workload::WorkloadMix::kPareto) {
       // Heavy-tailed rewrite of the offered table, anchored on the band
@@ -451,8 +432,8 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
   // ---- all RNG draws done; apply the shrink caps by truncation ----------
 
   std::size_t n = n_full;
-  if (shrink.max_subtasks > 0) {
-    n = std::min(n_full, std::max<std::size_t>(2, shrink.max_subtasks));
+  if (spec.max_subtasks > 0) {
+    n = std::min(n_full, std::max<std::size_t>(2, spec.max_subtasks));
   }
   s.spec.subtasks.resize(n);
   s.spec.messages.resize(n - 1);
@@ -467,11 +448,12 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink,
   }
 
   s.periods = periods_full;
-  if (shrink.max_periods > 0) {
-    s.periods = std::min(periods_full, std::max<std::uint64_t>(3, shrink.max_periods));
+  if (spec.max_periods > 0) {
+    s.periods =
+        std::min(periods_full, std::max<std::uint64_t>(3, spec.max_periods));
   }
 
-  if (shrink.flatten_workload) {
+  if (spec.flatten_workload) {
     double mean = 0.0;
     for (std::uint64_t p = 0; p < s.periods; ++p) {
       mean += s.workload_tracks[p];
@@ -584,16 +566,12 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
 
   // Decentralized plane: only built when the scenario drew more than one
   // manager endpoint, so every single-manager digest is untouched. The
-  // gossip cadence scales with the task period; the staleness bound is
-  // four gossip intervals.
+  // gossip cadence scales with the task period.
   std::unique_ptr<core::ManagementPlane> plane;
   if (scenario.managers > 1) {
-    core::PlaneConfig pc;
-    pc.managers = scenario.managers;
-    pc.gossip_interval = scenario.spec.period * 0.2;
-    pc.staleness_bound = scenario.spec.period * 0.8;
     plane = std::make_unique<core::ManagementPlane>(
-        testbed.sim(), testbed.net(), testbed.cluster(), pc);
+        testbed.sim(), testbed.net(), testbed.cluster(),
+        core::PlaneConfig::scaledTo(scenario.spec.period, scenario.managers));
     plane->adopt(manager);
     if (obs != nullptr) {
       plane->attachObs(*obs);
@@ -889,15 +867,8 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
   return out;
 }
 
-FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
-                        bool with_faults, const FuzzExecConfig& /*unused*/,
-                        bool with_manager_faults, bool with_sched,
-                        bool with_period_adjust, bool with_net_topology,
-                        bool with_workload_mix) {
-  const FuzzScenario scenario =
-      makeFuzzScenario(seed, shrink, with_faults, with_manager_faults,
-                       with_sched, with_period_adjust, with_net_topology,
-                       with_workload_mix);
+FuzzOutcome runFuzzSeed(std::uint64_t seed, const FuzzSpec& spec) {
+  const FuzzScenario scenario = makeFuzzScenario(seed, spec);
   FuzzOutcome out;
   for (const AllocatorKind kind :
        {AllocatorKind::kPredictive, AllocatorKind::kNonPredictive}) {
@@ -927,81 +898,37 @@ FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink,
   return out;
 }
 
-ShrinkSpec minimize(std::uint64_t seed, const ShrinkSpec& initial,
-                    const FailsFn& fails, bool with_faults,
-                    bool with_manager_faults, bool with_sched,
-                    bool with_period_adjust, bool with_net_topology,
-                    bool with_workload_mix) {
-  ShrinkSpec current = initial;
+FuzzSpec minimize(std::uint64_t seed, const FuzzSpec& initial,
+                  const FailsFn& fails) {
+  FuzzSpec current = initial;
   bool improved = true;
   while (improved) {
     improved = false;
     const FuzzScenario s = makeFuzzScenario(seed, current);
 
-    // Simplest explanation first: does the failure survive on the shared
-    // bus, with the paper workload family, on the baseline scheduler,
-    // without the elastic lever, without the decentralized-plane
-    // dimension, or without any faults at all?
-    if (with_net_topology && !current.drop_net_topology) {
-      ShrinkSpec c = current;
-      c.drop_net_topology = true;
+    // Simplest explanation first: does the failure survive without each
+    // dimension, in kFuzzDimensions order?
+    for (const FuzzDimension& d : kFuzzDimensions) {
+      if (!current.has(d.dim)) {
+        continue;
+      }
+      FuzzSpec c = current;
+      c.set(d.dim, false);
       if (fails(seed, c)) {
         current = c;
         improved = true;
-        continue;
+        break;
       }
     }
-    if (with_workload_mix && !current.drop_workload_mix) {
-      ShrinkSpec c = current;
-      c.drop_workload_mix = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_sched && !current.drop_sched) {
-      ShrinkSpec c = current;
-      c.drop_sched = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_period_adjust && !current.drop_period_adjust) {
-      ShrinkSpec c = current;
-      c.drop_period_adjust = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_manager_faults && !current.drop_manager_faults) {
-      ShrinkSpec c = current;
-      c.drop_manager_faults = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
-    }
-    if (with_faults && !current.drop_faults) {
-      ShrinkSpec c = current;
-      c.drop_faults = true;
-      if (fails(seed, c)) {
-        current = c;
-        improved = true;
-        continue;
-      }
+    if (improved) {
+      continue;
     }
 
     // Fewer subtasks: jump straight to the floor, else one less.
     if (s.spec.stageCount() > 2) {
       for (const std::size_t target :
            {static_cast<std::size_t>(2), s.spec.stageCount() - 1}) {
-        ShrinkSpec c = current;
+        FuzzSpec c = current;
         c.max_subtasks = target;
         if (fails(seed, c)) {
           current = c;
@@ -1021,7 +948,7 @@ ShrinkSpec minimize(std::uint64_t seed, const ShrinkSpec& initial,
         if (target >= s.periods) {
           continue;
         }
-        ShrinkSpec c = current;
+        FuzzSpec c = current;
         c.max_periods = std::max<std::uint64_t>(3, target);
         if (fails(seed, c)) {
           current = c;
@@ -1036,7 +963,7 @@ ShrinkSpec minimize(std::uint64_t seed, const ShrinkSpec& initial,
 
     // Flatter workload.
     if (!current.flatten_workload) {
-      ShrinkSpec c = current;
+      FuzzSpec c = current;
       c.flatten_workload = true;
       if (fails(seed, c)) {
         current = c;

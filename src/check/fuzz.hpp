@@ -1,6 +1,6 @@
 // Deterministic scenario fuzzer over the full simulated stack.
 //
-// Every scenario is a pure function of (seed, ShrinkSpec): cluster size,
+// Every scenario is a pure function of (seed, FuzzSpec): cluster size,
 // task pipeline, workload table (composed ramps / bursts / dropouts),
 // background-load schedule, and an optional co-resident workload poster are
 // all drawn from a named RNG stream. Each scenario runs under both the
@@ -8,47 +8,42 @@
 // InvariantOracle watching every event, and is run twice per allocator to
 // prove same-seed replay produces a byte-identical trace digest.
 //
-// Shrinking works by *capping* the generated scenario after all RNG draws
+// A FuzzSpec holds a dimension mask and three shrink caps. Every seed
+// draws every dimension, unconditionally and in one fixed order, after all
+// base-scenario draws; the mask only decides which draws are applied. So
+// the base scenario of a seed, and every narrower mask of it, stays
+// byte-identical whichever other dimensions are on, and shrinking a
+// dimension away is the same as never enabling it. The dimensions, in
+// draw order:
+//
+//   faults          node crashes (with optional restart), CPU throttle
+//                   windows, frame loss/duplication windows and clock-sync
+//                   outages, injected through fault::FaultInjector with a
+//                   heartbeat FailureDetector driving the manager's
+//                   failover path;
+//   manager-faults  a decentralized plane of 2-3 manager endpoints and one
+//                   manager crash (with optional restart); the run builds a
+//                   core::ManagementPlane and a target-mode detector over
+//                   the endpoints, and the plane invariants (election
+//                   uniqueness, no deposed decisions, bounded gossip
+//                   staleness) join the oracle;
+//   sched           one node scheduling policy (RR/FIFO/priority/EDF/RMS/
+//                   LLF) for the whole cluster;
+//   period-adjust   an elastic period bound plus the manager's dilation
+//                   step;
+//   net-topology    the bus, or a switched fabric with 2-4 segments, line
+//                   or star topology and a bounded port buffer (switched
+//                   runs also check the fabric's frame conservation);
+//   workload-mix    a workload family (pareto / surge / multi) whose
+//                   parameters ride on the band drawn for the base table.
+//
+// The shrink caps truncate the generated scenario after all draws
 // (truncate subtasks, truncate the horizon, flatten the workload to its
-// mean) — the draws themselves never change, so a failing seed stays the
-// same scenario family while it shrinks to a minimal reproducer.
-//
-// With faults enabled (--faults) every seed additionally grows a fault
-// schedule — node crashes (with optional restart), CPU throttle windows,
-// frame loss/duplication windows, clock-sync outages — injected through
-// fault::FaultInjector with a heartbeat FailureDetector driving the
-// manager's failover path. The fault draws are appended *after* every
-// base-scenario draw, so the base scenario of a seed is byte-identical
-// with and without faults, and `drop_faults` is just one more shrink cap.
-//
-// With manager faults additionally enabled (--manager-faults) every seed
-// draws a decentralized-plane dimension — a manager-endpoint count of 2-3
-// and one manager crash (with optional restart) — appended after the node
-// fault draws, so both the base scenario and the node-fault schedule of a
-// seed stay byte-identical with and without it. The run then builds a
-// core::ManagementPlane, a second target-mode FailureDetector over the
-// manager endpoints, and the plane invariants (election uniqueness, no
-// deposed decisions, bounded gossip staleness) join the oracle.
-//
-// With the scheduler dimension enabled (--sched) every seed additionally
-// draws a node scheduling policy (RR/FIFO/priority/EDF/RMS/LLF) for the
-// whole cluster, and with elastic periods enabled (--period-adjust) an
-// elastic bound plus adjustment step for the manager's period lever. Both
-// draws are appended after the manager-plane draws, so every narrower
-// configuration of the same seed is byte-identical, and each dimension is
-// one more shrink cap (drop_sched / drop_period_adjust).
-//
-// With the network-topology dimension enabled (--net-topology) every seed
-// draws a network substrate — bus, or a switched fabric with 2-4 segments,
-// line or star topology, and a bounded port buffer — and with the
-// workload-mix dimension enabled (--workload-mix) a workload family
-// (pareto / surge / multi) whose parameters ride on the band already drawn
-// for the base table. Both draws are appended after the sched/period
-// draws, so the `--drop-net-topology` / `--drop-workload-mix` caps
-// reproduce the base digests byte for byte. Switched runs additionally
-// check the fabric's frame-conservation invariant at the end of the run.
+// mean), so a failing seed stays the same scenario family while minimize()
+// shrinks it to a minimal reproducer: `--replay-seed=N` plus cliFlags().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -70,39 +65,73 @@ struct Observability;
 
 namespace rtdrm::check {
 
-/// Caps the shrinker applies to a generated scenario (0 / false = uncapped).
-struct ShrinkSpec {
+/// One scenario dimension the fuzzer can apply on top of the base scenario.
+enum class FuzzDim : std::uint8_t {
+  kNetTopology,
+  kWorkloadMix,
+  kSched,
+  kPeriodAdjust,
+  kManagerFaults,
+  kFaults,
+};
+
+struct FuzzDimension {
+  FuzzDim dim;
+  const char* flag;  ///< fuzz_scenarios flag, without the leading dashes
+  const char* help;
+};
+
+/// Every dimension, in the order minimize() tries to drop them: the
+/// simplest explanation first (the shared bus, the paper workload, the
+/// Round-Robin baseline, inelastic periods, one manager, no faults).
+inline constexpr std::array<FuzzDimension, 6> kFuzzDimensions{{
+    {FuzzDim::kNetTopology, "net-topology",
+     "grow a network-topology dimension per seed (bus or a 2-4 segment "
+     "switched fabric, line or star)"},
+    {FuzzDim::kWorkloadMix, "workload-mix",
+     "grow a workload-mix dimension per seed (pareto / surge / multi "
+     "contender flows)"},
+    {FuzzDim::kSched, "sched",
+     "grow a scheduler dimension per seed (the cluster draws one of "
+     "rr/fifo/priority/edf/rms/llf)"},
+    {FuzzDim::kPeriodAdjust, "period-adjust",
+     "grow an elastic-period dimension per seed (max_period bound plus the "
+     "manager's dilation lever)"},
+    {FuzzDim::kManagerFaults, "manager-faults",
+     "grow a decentralized-plane dimension per seed (2-3 manager endpoints "
+     "plus a manager crash/restart schedule)"},
+    {FuzzDim::kFaults, "faults",
+     "grow a fault schedule (crashes, throttles, frame loss, clock "
+     "outages) per seed"},
+}};
+
+/// What to generate for a seed: which dimensions apply, and the caps the
+/// shrinker puts on the generated scenario (0 / false = uncapped).
+struct FuzzSpec {
+  static constexpr std::uint32_t bit(FuzzDim d) {
+    return 1u << static_cast<unsigned>(d);
+  }
+  static constexpr std::uint32_t kAllDims = (1u << kFuzzDimensions.size()) - 1;
+
+  /// Enabled dimensions, one bit(d) each.
+  std::uint32_t dims = 0;
   /// Keep at most this many subtasks (floor 2; 0 = uncapped).
   std::size_t max_subtasks = 0;
   /// Run at most this many periods (floor 3; 0 = uncapped).
   std::uint64_t max_periods = 0;
   /// Replace the workload table with a constant at its mean.
   bool flatten_workload = false;
-  /// Strip the fault schedule (only meaningful when faults are enabled).
-  bool drop_faults = false;
-  /// Strip the decentralized-plane dimension: back to one manager and no
-  /// manager crashes (only meaningful when manager faults are enabled).
-  bool drop_manager_faults = false;
-  /// Back to the Round-Robin baseline scheduler (only meaningful when the
-  /// scheduler dimension is enabled).
-  bool drop_sched = false;
-  /// Strip the elastic-period dimension: inelastic spec, lever off (only
-  /// meaningful when period adjustment is enabled).
-  bool drop_period_adjust = false;
-  /// Back to the shared bus (only meaningful when the network-topology
-  /// dimension is enabled).
-  bool drop_net_topology = false;
-  /// Back to the paper workload family (only meaningful when the
-  /// workload-mix dimension is enabled).
-  bool drop_workload_mix = false;
 
-  bool unshrunk() const {
-    return max_subtasks == 0 && max_periods == 0 && !flatten_workload &&
-           !drop_faults && !drop_manager_faults && !drop_sched &&
-           !drop_period_adjust && !drop_net_topology && !drop_workload_mix;
+  bool has(FuzzDim d) const { return (dims & bit(d)) != 0; }
+  FuzzSpec& set(FuzzDim d, bool on) {
+    dims = on ? (dims | bit(d)) : (dims & ~bit(d));
+    return *this;
   }
-  /// Command-line fragment reproducing these caps (" --max-subtasks=3 ...";
-  /// empty when unshrunk).
+  bool operator==(const FuzzSpec&) const = default;
+
+  /// Command-line fragment reproducing this spec (" --faults ...
+  /// --max-periods=3 --flat"; empty for the default spec). Dimensions come
+  /// in the reverse of kFuzzDimensions, broadest first, then the caps.
   std::string cliFlags() const;
 };
 
@@ -179,25 +208,13 @@ struct FuzzScenario {
   std::string summary() const;
 };
 
-/// Generates the scenario for `seed` under the given caps. Caps only
-/// truncate/flatten the already-drawn scenario, so every cap combination of
-/// the same seed shares the same underlying draws. `with_faults` attaches
-/// the seed's fault schedule (drawn either way, appended after every base
-/// draw, so the base scenario is identical with and without it).
-FuzzScenario makeFuzzScenario(std::uint64_t seed, const ShrinkSpec& shrink = {},
-                              bool with_faults = false,
-                              bool with_manager_faults = false,
-                              bool with_sched = false,
-                              bool with_period_adjust = false,
-                              bool with_net_topology = false,
-                              bool with_workload_mix = false);
+/// Generates the scenario for `seed` under `spec`. The dimension mask and
+/// the caps only select and truncate the draws, so every spec of the same
+/// seed shares the same underlying draws.
+FuzzScenario makeFuzzScenario(std::uint64_t seed, const FuzzSpec& spec = {});
 
 enum class AllocatorKind { kPredictive, kNonPredictive };
 const char* allocatorKindName(AllocatorKind kind);
-
-/// Empty placeholder that keeps runFuzzSeed's positional signature stable
-/// for existing callers; it carries no execution options.
-struct FuzzExecConfig {};
 
 /// Outcome of one scenario run under one allocator.
 struct FuzzCaseResult {
@@ -235,29 +252,58 @@ struct FuzzOutcome {
   bool failed() const { return !invariants_ok || !deterministic; }
 };
 
-FuzzOutcome runFuzzSeed(std::uint64_t seed, const ShrinkSpec& shrink = {},
-                        bool with_faults = false,
-                        const FuzzExecConfig& /*unused*/ = {},
-                        bool with_manager_faults = false,
-                        bool with_sched = false,
-                        bool with_period_adjust = false,
-                        bool with_net_topology = false,
-                        bool with_workload_mix = false);
+FuzzOutcome runFuzzSeed(std::uint64_t seed, const FuzzSpec& spec = {});
 
-/// Failure predicate: does `seed` under these caps still fail?
-using FailsFn = std::function<bool(std::uint64_t, const ShrinkSpec&)>;
+/// Failure predicate: does `seed` under this spec still fail?
+using FailsFn = std::function<bool(std::uint64_t, const FuzzSpec&)>;
 
 /// Greedy shrink: starting from `initial` (which must fail), repeatedly
-/// tries harsher caps — dropped faults (when enabled), fewer subtasks,
-/// shorter horizon, flat workload — keeping each cap that still fails,
-/// until no harsher cap does. Returns the harshest failing ShrinkSpec
-/// found.
-ShrinkSpec minimize(std::uint64_t seed, const ShrinkSpec& initial,
-                    const FailsFn& fails, bool with_faults = false,
-                    bool with_manager_faults = false,
-                    bool with_sched = false,
-                    bool with_period_adjust = false,
-                    bool with_net_topology = false,
-                    bool with_workload_mix = false);
+/// tries a harsher spec (one dimension dropped, in kFuzzDimensions order,
+/// then fewer subtasks, a shorter horizon, a flat workload), keeping each
+/// one that still fails, until none does. Returns the harshest failing
+/// spec found.
+FuzzSpec minimize(std::uint64_t seed, const FuzzSpec& initial,
+                  const FailsFn& fails);
+
+// ---- positional-bool forms ---------------------------------------------
+// perfbench/workloads.cpp still calls the two positional signatures below
+// and is frozen until the next benchmark change (ROADMAP item 5), so they
+// stay as forwarders onto the mask API, with withDims() and the empty
+// FuzzExecConfig. Delete all four with that change. They take no default
+// arguments, so no call is ambiguous with the mask API.
+
+/// Empty placeholder for runFuzzSeed's positional form; it carries no
+/// execution options.
+struct FuzzExecConfig {};
+
+inline FuzzSpec withDims(FuzzSpec caps, bool faults, bool manager_faults,
+                         bool sched, bool period_adjust, bool net_topology,
+                         bool workload_mix) {
+  return caps.set(FuzzDim::kFaults, faults)
+      .set(FuzzDim::kManagerFaults, manager_faults)
+      .set(FuzzDim::kSched, sched)
+      .set(FuzzDim::kPeriodAdjust, period_adjust)
+      .set(FuzzDim::kNetTopology, net_topology)
+      .set(FuzzDim::kWorkloadMix, workload_mix);
+}
+
+inline FuzzScenario makeFuzzScenario(std::uint64_t seed, FuzzSpec caps,
+                                     bool faults, bool manager_faults,
+                                     bool sched, bool period_adjust,
+                                     bool net_topology, bool workload_mix) {
+  return makeFuzzScenario(seed, withDims(caps, faults, manager_faults, sched,
+                                         period_adjust, net_topology,
+                                         workload_mix));
+}
+
+inline FuzzOutcome runFuzzSeed(std::uint64_t seed, FuzzSpec caps, bool faults,
+                               const FuzzExecConfig& /*unused*/,
+                               bool manager_faults, bool sched,
+                               bool period_adjust, bool net_topology,
+                               bool workload_mix) {
+  return runFuzzSeed(seed, withDims(caps, faults, manager_faults, sched,
+                                    period_adjust, net_topology,
+                                    workload_mix));
+}
 
 }  // namespace rtdrm::check

@@ -9,6 +9,23 @@
 
 namespace rtdrm::core {
 
+PlaneConfig PlaneConfig::scaledTo(SimDuration task_period,
+                                  std::size_t managers) {
+  PlaneConfig pc;
+  pc.managers = managers;
+  pc.gossip_interval = task_period * 0.2;
+  pc.staleness_bound = task_period * 0.8;
+  return pc;
+}
+
+void PlaneConfig::validate() const {
+  RTDRM_ASSERT_MSG(managers >= 1, "plane needs at least one manager");
+  RTDRM_ASSERT_MSG(gossip_interval > SimDuration::zero(),
+                   "gossip interval must be positive");
+  RTDRM_ASSERT_MSG(staleness_bound > gossip_interval,
+                   "staleness bound must exceed the gossip interval");
+}
+
 ManagementPlane::ManagementPlane(sim::Simulator& simulator,
                                  net::NetworkModel& network,
                                  node::Cluster& cluster, PlaneConfig config)
@@ -18,12 +35,9 @@ ManagementPlane::ManagementPlane(sim::Simulator& simulator,
       config_(config),
       ticker_(simulator, config.gossip_interval,
               [this](std::uint64_t) { gossipTick(); }) {
-  RTDRM_ASSERT(config_.managers >= 1);
+  config_.validate();
   RTDRM_ASSERT_MSG(config_.managers <= cluster.size(),
                    "more managers than nodes");
-  RTDRM_ASSERT(config_.gossip_interval > SimDuration::zero());
-  RTDRM_ASSERT_MSG(config_.staleness_bound > config_.gossip_interval,
-                   "staleness bound must exceed the gossip interval");
   const std::size_t m = config_.managers;
   up_.assign(m, 1);
   roles_.assign(m, Role::kStandby);

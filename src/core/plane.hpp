@@ -71,6 +71,14 @@ struct PlaneConfig {
   /// size (the data itself travels in the message closure).
   Bytes gossip_base_bytes = Bytes::of(96.0);
   Bytes gossip_per_node_bytes = Bytes::of(12.0);
+
+  /// `managers` endpoints gossiping at a fifth of `task_period`, with a
+  /// staleness bound of four gossip intervals (0.8 task periods).
+  static PlaneConfig scaledTo(SimDuration task_period, std::size_t managers);
+
+  /// Aborts on fewer than one manager, a non-positive gossip interval, or
+  /// a staleness bound that does not exceed the gossip interval.
+  void validate() const;
 };
 
 class ManagementPlane {

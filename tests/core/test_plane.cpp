@@ -307,5 +307,26 @@ TEST(ManagementPlane, RestartedEndpointGossipsButOnlyBeliefElects) {
   plane.stop();
 }
 
+using PlaneConfigDeathTest = ::testing::Test;
+
+TEST(PlaneConfigDeathTest, RejectsZeroManagers) {
+  PlaneConfig cfg;
+  cfg.managers = 0;
+  EXPECT_DEATH(cfg.validate(), "plane needs at least one manager");
+}
+
+TEST(PlaneConfigDeathTest, RejectsNonPositiveGossipInterval) {
+  PlaneConfig cfg;
+  cfg.gossip_interval = SimDuration::zero();
+  EXPECT_DEATH(cfg.validate(), "gossip interval must be positive");
+}
+
+TEST(PlaneConfigDeathTest, RejectsStalenessBoundNotAboveTheInterval) {
+  PlaneConfig cfg;
+  cfg.staleness_bound = cfg.gossip_interval;
+  EXPECT_DEATH(cfg.validate(),
+               "staleness bound must exceed the gossip interval");
+}
+
 }  // namespace
 }  // namespace rtdrm::core

@@ -15,12 +15,13 @@ namespace rtdrm::check {
 namespace {
 
 TEST(ObsCrossCheck, FiftySeedsReconcileAcrossThreeSources) {
-  ShrinkSpec shrink;
-  shrink.max_periods = 8;  // keep 200 full-stack runs affordable
+  FuzzSpec spec;
+  spec.max_periods = 8;  // keep 200 full-stack runs affordable
   std::uint64_t growth_checks_seen = 0;
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const bool with_faults = seed % 2 == 1;
-    const FuzzScenario scenario = makeFuzzScenario(seed, shrink, with_faults);
+    spec.set(FuzzDim::kFaults, with_faults);
+    const FuzzScenario scenario = makeFuzzScenario(seed, spec);
     for (const AllocatorKind kind :
          {AllocatorKind::kPredictive, AllocatorKind::kNonPredictive}) {
       obs::Observability bundle;

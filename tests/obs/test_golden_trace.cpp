@@ -98,9 +98,7 @@ std::vector<std::string> runPlaneGoldenEpisode(obs::Observability& bundle) {
   cfg.periods = 32;
   cfg.scenario.seed = 7;
   cfg.obs = &bundle;
-  cfg.plane.managers = 2;
-  cfg.plane.gossip_interval = spec.period * 0.2;
-  cfg.plane.staleness_bound = spec.period * 0.8;
+  cfg.plane = core::PlaneConfig::scaledTo(spec.period, 2);
   cfg.manager_crash_at_period = 10;
   cfg.manager_fault_target = 0;
   cfg.manager_restart_after_periods = 8.0;

@@ -16,8 +16,8 @@ namespace rtdrm {
 namespace {
 
 TEST(ObsNeutrality, FuzzDigestsIdenticalWithObsAttached) {
-  check::ShrinkSpec shrink;
-  shrink.max_periods = 10;
+  check::FuzzSpec caps;
+  caps.max_periods = 10;
   const struct {
     std::uint64_t seed;
     bool faults;
@@ -25,7 +25,9 @@ TEST(ObsNeutrality, FuzzDigestsIdenticalWithObsAttached) {
   std::uint64_t total_recorded = 0;
   for (const auto& c : cases) {
     const check::FuzzScenario scenario =
-        check::makeFuzzScenario(c.seed, shrink, c.faults);
+        check::makeFuzzScenario(
+            c.seed, check::FuzzSpec(caps).set(check::FuzzDim::kFaults,
+                                              c.faults));
     for (const check::AllocatorKind kind :
          {check::AllocatorKind::kPredictive,
           check::AllocatorKind::kNonPredictive}) {

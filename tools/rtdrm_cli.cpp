@@ -6,8 +6,6 @@
 //   rtdrm sweep    [--pattern P] [--out PREFIX]       Figs. 9/10-style sweep
 //
 // Every subcommand accepts --help.
-#include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -116,99 +114,156 @@ int parseAlgorithm(const std::string& s, experiments::AlgorithmKind* out) {
   return 1;
 }
 
-/// Parses --period-adjust ("off" | "on"). Returns 0, or 1 on a bad value.
-int parsePeriodAdjust(const std::string& s, bool* out) {
-  if (s == "off") {
-    *out = false;
-    return 0;
+/// Prints "--FLAG must be at least FLOOR (got VALUE)" unless value >= floor.
+bool atLeast(const char* flag, std::int64_t value, std::int64_t floor) {
+  if (value >= floor) {
+    return true;
   }
-  if (s == "on") {
-    *out = true;
-    return 0;
-  }
-  std::cerr << "unknown period-adjust mode '" << s << "' (off | on)\n";
-  return 1;
+  std::cerr << "--" << flag << " must be at least " << floor << " (got "
+            << value << ")\n";
+  return false;
 }
 
-/// Applies --threads to the process-wide worker budget.
-void applyThreads(std::int64_t threads) {
-  parallel::setThreads(threads < 0 ? 0u : static_cast<unsigned>(threads));
-}
+/// The flags `episode` and `sweep` share: the episode length, the worker
+/// budget, node scheduling, the period lever, the network substrate and the
+/// workload mix. Every default is read from a default-constructed
+/// EpisodeConfig, so passing a default explicitly is the same as omitting
+/// the flag.
+class ScenarioFlags {
+ public:
+  explicit ScenarioFlags(ArgParser& args) {
+    const experiments::EpisodeConfig d;
+    periods_ = static_cast<std::int64_t>(d.periods);
+    sched_ = node::schedPolicyName(d.scenario.cpu.policy);
+    period_adjust_ = d.manager.allow_period_adjust ? "on" : "off";
+    net_ = net::netKindName(d.scenario.net_kind);
+    segments_ = static_cast<std::int64_t>(d.scenario.fabric.segments);
+    fabric_topology_ = net::fabricTopologyName(d.scenario.fabric.topology);
+    port_buffer_ =
+        static_cast<std::int64_t>(d.scenario.fabric.port_buffer_frames);
+    workload_ = workload::workloadMixName(d.workload_mix);
+    tail_index_ = d.pareto.tail_index;
+    contenders_ = static_cast<std::int64_t>(d.contenders.flows);
+    args.addInt("periods", "episode length in periods", &periods_)
+        .addInt("threads",
+                "worker threads (0 = RTDRM_THREADS or cores)", &threads_)
+        .addString("sched",
+                   "node scheduling policy: rr | fifo | priority | edf | "
+                   "rms | llf",
+                   &sched_)
+        .addString("period-adjust",
+                   "off | on (elastic period dilation when the forecast "
+                   "rejects replication)",
+                   &period_adjust_)
+        .addString("net",
+                   "network substrate: bus (shared 100 Mbps segment, the "
+                   "paper's Table 1) | switched (multi-segment store-and-"
+                   "forward fabric)",
+                   &net_)
+        .addInt("segments", "switch segments (--net switched)", &segments_)
+        .addString("fabric-topology", "line | star (--net switched)",
+                   &fabric_topology_)
+        .addInt("port-buffer",
+                "per-egress-port buffer in frames (--net switched)",
+                &port_buffer_)
+        .addString("workload",
+                   "workload mix: paper | pareto (heavy-tailed arrivals) | "
+                   "surge (correlated multi-sensor) | multi (paper + "
+                   "co-hosted contender flows)",
+                   &workload_)
+        .addDouble("tail-index",
+                   "Pareto tail index alpha (--workload pareto)",
+                   &tail_index_)
+        .addInt("contenders", "co-hosted contender flows (--workload multi)",
+                &contenders_);
+  }
 
-/// Applies the shared network/workload flags (--net, --segments,
-/// --fabric-topology, --port-buffer, --workload, --tail-index,
-/// --contenders) to an episode config. Returns 0, or 1 on a bad value.
-int applyNetWorkloadFlags(const std::string& net_model,
-                          std::int64_t segments,
-                          const std::string& fabric_topology,
-                          std::int64_t port_buffer,
-                          const std::string& workload_mix,
-                          double tail_index, std::int64_t contenders,
-                          experiments::EpisodeConfig* cfg) {
-  if (!net::parseNetKind(net_model, &cfg->scenario.net_kind)) {
-    std::cerr << "unknown network model '" << net_model
-              << "' (bus | switched)\n";
-    return 1;
+  /// Writes the flags into `cfg`, sets the worker budget and validates the
+  /// assembled config (set cfg->plane first). On a bad value prints why
+  /// and returns false, before any model is fitted.
+  bool apply(experiments::EpisodeConfig* cfg) const {
+    if (!atLeast("periods", periods_, 1) ||
+        !atLeast("segments", segments_, 1) ||
+        !atLeast("port-buffer", port_buffer_, 1) ||
+        !atLeast("contenders", contenders_, 0)) {
+      return false;
+    }
+    if (!node::parseSchedPolicy(sched_, &cfg->scenario.cpu.policy)) {
+      std::cerr << "unknown scheduling policy '" << sched_
+                << "' (rr | fifo | priority | edf | rms | llf)\n";
+      return false;
+    }
+    if (period_adjust_ != "off" && period_adjust_ != "on") {
+      std::cerr << "unknown period-adjust mode '" << period_adjust_
+                << "' (off | on)\n";
+      return false;
+    }
+    if (!net::parseNetKind(net_, &cfg->scenario.net_kind)) {
+      std::cerr << "unknown network model '" << net_
+                << "' (bus | switched)\n";
+      return false;
+    }
+    if (!net::parseFabricTopology(fabric_topology_,
+                                  &cfg->scenario.fabric.topology)) {
+      std::cerr << "unknown fabric topology '" << fabric_topology_
+                << "' (line | star)\n";
+      return false;
+    }
+    if (!workload::parseWorkloadMix(workload_, &cfg->workload_mix)) {
+      std::cerr << "unknown workload mix '" << workload_
+                << "' (paper | pareto | surge | multi)\n";
+      return false;
+    }
+    if (tail_index_ <= 0.0) {
+      std::cerr << "--tail-index must be positive\n";
+      return false;
+    }
+    parallel::setThreads(threads_ < 0 ? 0u : static_cast<unsigned>(threads_));
+    cfg->periods = static_cast<std::uint64_t>(periods_);
+    cfg->manager.allow_period_adjust = period_adjust_ == "on";
+    cfg->scenario.fabric.segments = static_cast<std::size_t>(segments_);
+    cfg->scenario.fabric.port_buffer_frames =
+        static_cast<std::size_t>(port_buffer_);
+    cfg->pareto.tail_index = tail_index_;
+    cfg->contenders.flows = static_cast<std::size_t>(contenders_);
+    cfg->scenario.cpu.validate();
+    cfg->scenario.fabric.validate();
+    cfg->plane.validate();
+    return true;
   }
-  cfg->scenario.fabric.segments =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, segments));
-  if (!net::parseFabricTopology(fabric_topology,
-                                &cfg->scenario.fabric.topology)) {
-    std::cerr << "unknown fabric topology '" << fabric_topology
-              << "' (line | star)\n";
-    return 1;
-  }
-  cfg->scenario.fabric.port_buffer_frames =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, port_buffer));
-  cfg->scenario.fabric.validate();
-  if (!workload::parseWorkloadMix(workload_mix, &cfg->workload_mix)) {
-    std::cerr << "unknown workload mix '" << workload_mix
-              << "' (paper | pareto | surge | multi)\n";
-    return 1;
-  }
-  if (tail_index <= 0.0) {
-    std::cerr << "--tail-index must be positive\n";
-    return 1;
-  }
-  cfg->pareto.tail_index = tail_index;
-  cfg->contenders.flows =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, contenders));
-  return 0;
-}
+
+ private:
+  std::int64_t periods_ = 0;
+  std::int64_t threads_ = 0;
+  std::string sched_;
+  std::string period_adjust_;
+  std::string net_;
+  std::int64_t segments_ = 0;
+  std::string fabric_topology_;
+  std::int64_t port_buffer_ = 0;
+  std::string workload_;
+  double tail_index_ = 0.0;
+  std::int64_t contenders_ = 0;
+};
 
 int cmdEpisode(int argc, const char* const* argv) {
   std::string pattern = "triangular";
   std::string algorithm = "predictive";
   double max_tracks = 10000.0;
-  std::int64_t periods = 72;
   std::int64_t seed = 42;
-  std::int64_t threads = 0;
   bool refit = false;
   bool histogram = false;
   std::string trace_out;
-  std::string sched = "rr";
-  std::string period_adjust = "off";
   std::int64_t managers = 1;
   std::int64_t manager_fault = 0;
   std::int64_t manager_fault_target = 0;
   double manager_restart = 0.0;
-  std::string net_model = "bus";
-  std::int64_t segments = 2;
-  std::string fabric_topology = "line";
-  std::int64_t port_buffer = 32;
-  std::string workload_mix = "paper";
-  double tail_index = 1.5;
-  std::int64_t contenders = 2;
   ArgParser args("rtdrm episode", "run one evaluation episode");
+  const ScenarioFlags flags(args);
   args.addString("pattern", "increasing | decreasing | triangular", &pattern)
       .addString("algorithm", "predictive | nonpredictive", &algorithm)
       .addDouble("max-tracks", "pattern peak workload", &max_tracks)
-      .addInt("periods", "episode length", &periods)
       .addInt("seed", "master seed", &seed)
-      .addInt("threads",
-              "worker threads for model fitting (0 = RTDRM_THREADS or "
-              "cores)",
-              &threads)
       .addInt("managers",
               "manager endpoints (1 = legacy centralized plane, > 1 shards "
               "the management plane with gossip + failover)",
@@ -224,34 +279,6 @@ int cmdEpisode(int argc, const char* const* argv) {
                  "restart the crashed endpoint this many periods after the "
                  "crash (0 = never)",
                  &manager_restart)
-      .addString("sched",
-                 "node scheduling policy: rr | fifo | priority | edf | rms "
-                 "| llf",
-                 &sched)
-      .addString("period-adjust",
-                 "off | on (elastic period dilation when the forecast "
-                 "rejects replication)",
-                 &period_adjust)
-      .addString("net",
-                 "network substrate: bus (shared 100 Mbps segment, the "
-                 "paper's Table 1) | switched (multi-segment store-and-"
-                 "forward fabric)",
-                 &net_model)
-      .addInt("segments", "switch segments (--net switched)", &segments)
-      .addString("fabric-topology", "line | star (--net switched)",
-                 &fabric_topology)
-      .addInt("port-buffer",
-              "per-egress-port buffer in frames (--net switched)",
-              &port_buffer)
-      .addString("workload",
-                 "workload mix: paper | pareto (heavy-tailed arrivals) | "
-                 "surge (correlated multi-sensor) | multi (paper + "
-                 "co-hosted contender flows)",
-                 &workload_mix)
-      .addDouble("tail-index",
-                 "Pareto tail index alpha (--workload pareto)", &tail_index)
-      .addInt("contenders",
-              "co-hosted contender flows (--workload multi)", &contenders)
       .addFlag("refit", "enable online model refinement", &refit)
       .addFlag("histogram", "print the end-to-end latency histogram",
                &histogram)
@@ -263,53 +290,48 @@ int cmdEpisode(int argc, const char* const* argv) {
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
   }
-  applyThreads(threads);
   experiments::AlgorithmKind kind{};
   if (parseAlgorithm(algorithm, &kind) != 0) {
     return 1;
   }
+  if (!atLeast("managers", managers, 1) ||
+      !atLeast("manager-fault", manager_fault, 0) ||
+      !atLeast("manager-fault-target", manager_fault_target, 0)) {
+    return 1;
+  }
+  if (manager_fault_target >= managers) {
+    std::cerr << "--manager-fault-target must be below --managers (got "
+              << manager_fault_target << " with " << managers
+              << " managers)\n";
+    return 1;
+  }
+  if (managers == 1 && manager_fault > 0) {
+    std::cerr << "--manager-fault needs --managers > 1\n";
+    return 1;
+  }
   const task::TaskSpec spec = apps::makeAawTaskSpec();
+  experiments::EpisodeConfig cfg;
+  cfg.scenario.seed = static_cast<std::uint64_t>(seed);
+  if (managers > 1) {
+    cfg.plane = core::PlaneConfig::scaledTo(spec.period,
+                                            static_cast<std::size_t>(managers));
+    cfg.manager_crash_at_period = static_cast<std::uint64_t>(manager_fault);
+    cfg.manager_fault_target =
+        static_cast<std::uint32_t>(manager_fault_target);
+    cfg.manager_restart_after_periods = manager_restart;
+  }
+  if (!flags.apply(&cfg)) {
+    return 1;
+  }
   std::cout << "[fitting models...]\n";
   const auto fitted =
       experiments::fitAllModels(spec, experiments::defaultModelFitConfig());
   workload::RampParams ramp;
   ramp.max_workload = DataSize::tracks(max_tracks);
   const auto pat = workload::makeFig8Pattern(pattern, ramp);
-  experiments::EpisodeConfig cfg;
-  cfg.periods = static_cast<std::uint64_t>(periods);
-  cfg.scenario.seed = static_cast<std::uint64_t>(seed);
-  if (!node::parseSchedPolicy(sched, &cfg.scenario.cpu.policy)) {
-    std::cerr << "unknown scheduling policy '" << sched
-              << "' (rr | fifo | priority | edf | rms | llf)\n";
-    return 1;
-  }
-  cfg.scenario.cpu.validate();
-  if (applyNetWorkloadFlags(net_model, segments, fabric_topology,
-                            port_buffer, workload_mix, tail_index,
-                            contenders, &cfg) != 0) {
-    return 1;
-  }
-  if (parsePeriodAdjust(period_adjust, &cfg.manager.allow_period_adjust) !=
-      0) {
-    return 1;
-  }
   cfg.manager.online_refit = refit;
   if (pattern == "decreasing") {
     cfg.manager.d_init = ramp.max_workload;
-  }
-  if (managers > 1) {
-    cfg.plane.managers = static_cast<std::size_t>(managers);
-    // Gossip at a fifth of the task period; staleness bound = 4 intervals.
-    cfg.plane.gossip_interval = spec.period * 0.2;
-    cfg.plane.staleness_bound = spec.period * 0.8;
-    cfg.manager_crash_at_period = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, manager_fault));
-    cfg.manager_fault_target =
-        static_cast<std::uint32_t>(manager_fault_target);
-    cfg.manager_restart_after_periods = manager_restart;
-  } else if (manager_fault > 0) {
-    std::cerr << "--manager-fault needs --managers > 1\n";
-    return 1;
   }
   obs::Observability bundle;
   if (!trace_out.empty()) {
@@ -354,78 +376,28 @@ int cmdEpisode(int argc, const char* const* argv) {
 int cmdSweep(int argc, const char* const* argv) {
   std::string pattern = "triangular";
   std::string out = "sweep";
-  std::int64_t periods = 72;
   std::int64_t replications = 1;
-  std::int64_t threads = 0;
-  std::string sched = "rr";
-  std::string period_adjust = "off";
-  std::string net_model = "bus";
-  std::int64_t segments = 2;
-  std::string fabric_topology = "line";
-  std::int64_t port_buffer = 32;
-  std::string workload_mix = "paper";
-  double tail_index = 1.5;
-  std::int64_t contenders = 2;
   bool serial = false;
   ArgParser args("rtdrm sweep",
                  "both algorithms across max workloads (Figs. 9/10 style)");
+  const ScenarioFlags flags(args);
   args.addString("pattern", "increasing | decreasing | triangular", &pattern)
       .addString("out", "output CSV prefix", &out)
-      .addInt("periods", "episode length per point", &periods)
       .addInt("replications", "seeds averaged per point", &replications)
-      .addInt("threads",
-              "worker threads for the point fan-out "
-              "(0 = RTDRM_THREADS or cores)",
-              &threads)
-      .addString("sched",
-                 "node scheduling policy: rr | fifo | priority | edf | rms "
-                 "| llf",
-                 &sched)
-      .addString("period-adjust",
-                 "off | on (elastic period dilation when the forecast "
-                 "rejects replication)",
-                 &period_adjust)
-      .addString("net", "bus | switched (network substrate)", &net_model)
-      .addInt("segments", "switch segments (--net switched)", &segments)
-      .addString("fabric-topology", "line | star (--net switched)",
-                 &fabric_topology)
-      .addInt("port-buffer",
-              "per-egress-port buffer in frames (--net switched)",
-              &port_buffer)
-      .addString("workload", "paper | pareto | surge | multi",
-                 &workload_mix)
-      .addDouble("tail-index",
-                 "Pareto tail index alpha (--workload pareto)", &tail_index)
-      .addInt("contenders",
-              "co-hosted contender flows (--workload multi)", &contenders)
       .addFlag("serial", "run sweep points one at a time", &serial);
   if (!args.parse(argc, argv)) {
     return args.helpRequested() ? 0 : 1;
   }
-  applyThreads(threads);
+  experiments::SweepConfig cfg;
+  if (!atLeast("replications", replications, 1) ||
+      !flags.apply(&cfg.episode)) {
+    return 1;
+  }
   const task::TaskSpec spec = apps::makeAawTaskSpec();
   std::cout << "[fitting models...]\n";
   const auto fitted =
       experiments::fitAllModels(spec, experiments::defaultModelFitConfig());
-  experiments::SweepConfig cfg;
-  cfg.episode.periods = static_cast<std::uint64_t>(periods);
-  if (!node::parseSchedPolicy(sched, &cfg.episode.scenario.cpu.policy)) {
-    std::cerr << "unknown scheduling policy '" << sched
-              << "' (rr | fifo | priority | edf | rms | llf)\n";
-    return 1;
-  }
-  cfg.episode.scenario.cpu.validate();
-  if (applyNetWorkloadFlags(net_model, segments, fabric_topology,
-                            port_buffer, workload_mix, tail_index,
-                            contenders, &cfg.episode) != 0) {
-    return 1;
-  }
-  if (parsePeriodAdjust(period_adjust,
-                        &cfg.episode.manager.allow_period_adjust) != 0) {
-    return 1;
-  }
-  cfg.replications = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, replications));
+  cfg.replications = static_cast<std::size_t>(replications);
   cfg.parallel = !serial;
   const auto points =
       experiments::runWorkloadSweep(spec, fitted.models, pattern, cfg);
