@@ -207,30 +207,20 @@ int main() {
       const workload::Triangular pattern(r2);
       experiments::EpisodeConfig cfg = baseConfig();
       cfg.manager.shutdown_selection = sel;
-      apps::Scenario scenario(cfg.scenario);
-      std::vector<ProcessorId> homes;
-      for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-        homes.push_back(ProcessorId{static_cast<std::uint32_t>(s % 6)});
-      }
-      core::ResourceManager manager(
-          scenario.runtime(), spec, task::Placement(homes),
-          [&pattern](std::uint64_t c) { return pattern.at(c); },
-          std::make_unique<core::PredictiveAllocator>(fitted.models),
-          fitted.models, cfg.manager, scenario.streams().get("exec-noise"));
-      manager.start(scenario.sim().now());
+      experiments::Episode episode(cfg,
+                                   experiments::AlgorithmKind::kPredictive,
+                                   {{spec, &pattern, &fitted.models, 0}});
+      apps::Scenario& scenario = episode.scenario();
       scenario.sim().scheduleAt(SimTime::seconds(5.0), [&scenario] {
         scenario.cluster().backgroundLoad(ProcessorId{5})
             .setTarget(Utilization::fraction(0.9));
       });
-      scenario.runFor(spec.period * 72.0);
-      manager.stop();
-      scenario.runFor(spec.period * 3.0);
-      const auto& m = manager.metrics();
+      episode.run();
+      const experiments::EpisodeResult r = episode.result();
       t.addRow({std::string(sel == core::ShutdownSelection::kLastAdded
                                 ? "last-added (paper Fig. 6)"
                                 : "most-utilized (extension)"),
-                m.missedRatio() * 100.0, m.replicas_per_subtask.mean(),
-                m.combined(6)});
+                r.missed_pct, r.avg_replicas, r.combined});
     }
     t.print(std::cout);
     std::cout

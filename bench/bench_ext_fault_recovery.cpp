@@ -23,16 +23,13 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/scenario.hpp"
 #include "bench_util.hpp"
 #include "common/cli.hpp"
-#include "core/manager.hpp"
-#include "fault/detector.hpp"
-#include "fault/injector.hpp"
 #include "workload/patterns.hpp"
 
 using namespace rtdrm;
@@ -90,52 +87,33 @@ ModeResult runFaultEpisode(const task::TaskSpec& spec,
                            const core::PredictiveModels& models,
                            experiments::AlgorithmKind algorithm,
                            FaultMode mode, const EpisodeConfig& cfg) {
-  apps::ScenarioConfig scfg;
-  scfg.node_count = cfg.nodes;
-  apps::Scenario scenario(scfg);
-
   workload::RampParams ramp;
   ramp.min_workload = DataSize::tracks(cfg.min_tracks);
   ramp.max_workload = DataSize::tracks(cfg.max_tracks);
   ramp.ramp_periods = cfg.ramp_periods;
   const workload::Triangular pattern(ramp);
 
-  std::vector<ProcessorId> homes;
-  for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-    homes.push_back(ProcessorId{static_cast<std::uint32_t>(s % cfg.nodes)});
-  }
-
-  std::unique_ptr<core::Allocator> allocator;
-  if (algorithm == experiments::AlgorithmKind::kPredictive) {
-    allocator = std::make_unique<core::PredictiveAllocator>(models);
-  } else {
-    allocator = std::make_unique<core::NonPredictiveAllocator>();
-  }
-  core::ManagerConfig mgr_cfg;
-  core::ResourceManager manager(
-      scenario.runtime(), spec, task::Placement(homes),
-      [&pattern](std::uint64_t c) { return pattern.at(c); },
-      std::move(allocator), models, mgr_cfg,
-      scenario.streams().get("exec-noise"));
-
   const SimTime crash_at =
       SimTime::zero() + spec.period * static_cast<double>(cfg.crash_period);
-  fault::FaultPlan plan;
+  std::optional<fault::FaultPlan> plan;
+  if (mode != FaultMode::kNone) {
+    plan.emplace();
+  }
   if (mode == FaultMode::kNoFailover || mode == FaultMode::kFailover) {
     fault::CrashFault crash;
     crash.node = cfg.crash_node;
     crash.at = crash_at;
     crash.restart_at = SimTime::zero() +
                        spec.period * static_cast<double>(cfg.restart_period);
-    plan.crashes.push_back(crash);
+    plan->crashes.push_back(crash);
   }
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (mode != FaultMode::kNone) {
-    injector = std::make_unique<fault::FaultInjector>(
-        scenario.sim(), scenario.cluster(), &scenario.ethernet(),
-        &scenario.clocks(), plan);
-    injector->arm();
-  }
+  experiments::EpisodeConfig ecfg;
+  ecfg.scenario.node_count = cfg.nodes;
+  ecfg.periods = cfg.periods;
+  experiments::Episode episode(ecfg, algorithm, {{spec, &pattern, &models, 0}},
+                               std::move(plan));
+  apps::Scenario& scenario = episode.scenario();
+  core::ResourceManager& manager = episode.manager();
 
   ModeResult out;
   bool detected = false;
@@ -159,28 +137,20 @@ ModeResult runFaultEpisode(const task::TaskSpec& spec,
             manager.handleNodeRestart(p);
           }
         });
+    episode.addActivity([&](SimTime at) { detector->start(at); },
+                        [&] { detector->stop(); });
   }
+  episode.run();
 
-  manager.start(scenario.sim().now());
-  if (detector != nullptr) {
-    detector->start(scenario.sim().now());
-  }
-  scenario.runFor(spec.period * static_cast<double>(cfg.periods));
-  manager.stop();
-  if (detector != nullptr) {
-    detector->stop();
-  }
-  scenario.runFor(spec.period * 3.0);
-
-  const core::EpisodeMetrics& m = manager.metrics();
-  out.missed_pct = m.missedRatio() * 100.0;
-  out.avg_replicas = m.replicas_per_subtask.mean();
-  out.replicate_actions = m.replicate_actions;
-  out.shutdown_actions = m.shutdown_actions;
-  out.allocation_failures = m.allocation_failures;
-  out.failures_handled = m.node_failures_handled;
-  out.failover_replacements = m.failover_replacements;
-  out.recovery_allocation_failures = m.recovery_allocation_failures;
+  const experiments::EpisodeResult r = episode.result();
+  out.missed_pct = r.missed_pct;
+  out.avg_replicas = r.avg_replicas;
+  out.replicate_actions = r.metrics.replicate_actions;
+  out.shutdown_actions = r.metrics.shutdown_actions;
+  out.allocation_failures = r.metrics.allocation_failures;
+  out.failures_handled = r.metrics.node_failures_handled;
+  out.failover_replacements = r.metrics.failover_replacements;
+  out.recovery_allocation_failures = r.metrics.recovery_allocation_failures;
   return out;
 }
 

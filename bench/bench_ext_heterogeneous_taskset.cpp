@@ -35,9 +35,9 @@ int main() {
   const workload::Constant surveil_load(DataSize::tracks(2500.0));
 
   const std::vector<experiments::TaskSetMember> members{
-      {&engage, &engage_load, &f_engage.models, 0},  // fastest first
-      {&aaw, &aaw_load, &f_aaw.models, 0},
-      {&surveil, &surveil_load, &f_surveil.models, 0},
+      {engage, &engage_load, &f_engage.models, 0},  // fastest first
+      {aaw, &aaw_load, &f_aaw.models, 0},
+      {surveil, &surveil_load, &f_surveil.models, 0},
   };
 
   printBanner(std::cout,

@@ -19,15 +19,12 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "apps/scenario.hpp"
 #include "bench_util.hpp"
 #include "common/cli.hpp"
-#include "core/ledger.hpp"
-#include "core/manager.hpp"
+#include "experiments/multitask.hpp"
 #include "workload/patterns.hpp"
 
 using namespace rtdrm;
@@ -56,17 +53,12 @@ struct CellResult {
   std::uint64_t allocation_failures = 0;
 };
 
-/// One multi-task episode (the runMultiTaskEpisode wiring, inlined so the
-/// cluster's index toggle is reachable), timed end to end: release through
-/// drain, managers included.
+/// One multi-task episode (runMultiTaskEpisode's task set, assembled
+/// here so the cluster's index toggle is reachable), timed end to end:
+/// release through drain, managers included.
 CellResult runCell(const task::TaskSpec& spec,
                    const core::PredictiveModels& models,
                    const CellConfig& cfg) {
-  apps::ScenarioConfig scfg;
-  scfg.node_count = cfg.nodes;
-  apps::Scenario scenario(scfg);
-  scenario.cluster().setUtilizationIndexEnabled(cfg.use_index);
-
   // A fast triangular oscillation between min_frac*max and max: replica
   // sets stay large but keep growing and shedding every few periods, which
   // is the regime the management plane actually has to survive at scale —
@@ -77,44 +69,16 @@ CellResult runCell(const task::TaskSpec& spec,
   ramp.ramp_periods = cfg.ramp_periods;
   const workload::Triangular pattern(ramp);
 
-  core::WorkloadLedger ledger;
-  std::vector<task::TaskSpec> specs(cfg.tasks, spec);
-  std::vector<std::unique_ptr<core::ResourceManager>> managers;
-  managers.reserve(cfg.tasks);
-  for (std::size_t t = 0; t < cfg.tasks; ++t) {
-    specs[t].name = spec.name + "#" + std::to_string(t + 1);
-    // Staggered primaries and phase-shifted peaks, as in multitask.cpp.
-    std::vector<ProcessorId> homes;
-    for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-      homes.push_back(ProcessorId{
-          static_cast<std::uint32_t>((s + 2 * t) % cfg.nodes)});
-    }
-    std::unique_ptr<core::Allocator> allocator;
-    if (cfg.algorithm == experiments::AlgorithmKind::kPredictive) {
-      allocator = std::make_unique<core::PredictiveAllocator>(models);
-    } else {
-      allocator = std::make_unique<core::NonPredictiveAllocator>();
-    }
-    core::ManagerConfig mgr_cfg;
-    mgr_cfg.sample_cluster = (t == 0);
-    const std::uint64_t phase = t * 5;
-    managers.push_back(std::make_unique<core::ResourceManager>(
-        scenario.runtime(), specs[t], task::Placement(homes),
-        [&pattern, phase](std::uint64_t c) { return pattern.at(c + phase); },
-        std::move(allocator), models, mgr_cfg,
-        scenario.streams().get("exec-noise", t)));
-    managers.back()->attachLedger(ledger);
-  }
+  experiments::EpisodeConfig ecfg;
+  ecfg.scenario.node_count = cfg.nodes;
+  ecfg.periods = cfg.periods;
+  experiments::Episode episode(
+      ecfg, cfg.algorithm,
+      experiments::phaseShiftedCopies(spec, pattern, models, cfg.tasks, 5));
+  episode.scenario().cluster().setUtilizationIndexEnabled(cfg.use_index);
 
   const auto t0 = std::chrono::steady_clock::now();
-  for (auto& m : managers) {
-    m->start(scenario.sim().now());
-  }
-  scenario.runFor(spec.period * static_cast<double>(cfg.periods));
-  for (auto& m : managers) {
-    m->stop();
-  }
-  scenario.runFor(spec.period * 3.0);
+  episode.run();
   const auto t1 = std::chrono::steady_clock::now();
 
   CellResult out;
@@ -122,13 +86,13 @@ CellResult runCell(const task::TaskSpec& spec,
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   double missed = 0.0;
   double replicas = 0.0;
-  for (const auto& m : managers) {
-    const core::EpisodeMetrics& em = m->metrics();
-    missed += em.missedRatio() * 100.0;
-    replicas += em.replicas_per_subtask.mean();
-    out.replicate_actions += em.replicate_actions;
-    out.shutdown_actions += em.shutdown_actions;
-    out.allocation_failures += em.allocation_failures;
+  for (std::size_t t = 0; t < cfg.tasks; ++t) {
+    const experiments::EpisodeResult r = episode.result(t);
+    missed += r.missed_pct;
+    replicas += r.avg_replicas;
+    out.replicate_actions += r.metrics.replicate_actions;
+    out.shutdown_actions += r.metrics.shutdown_actions;
+    out.allocation_failures += r.metrics.allocation_failures;
   }
   out.missed_pct = missed / static_cast<double>(cfg.tasks);
   out.avg_replicas = replicas / static_cast<double>(cfg.tasks);

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "apps/scenario.hpp"
 #include "common/assert.hpp"
-#include "core/ledger.hpp"
-#include "core/manager.hpp"
-#include "core/plane.hpp"
-#include "fault/injector.hpp"
 #include "obs/obs.hpp"
 #include "sim/trace.hpp"
 
@@ -63,10 +59,6 @@ std::string FuzzSpec::cliFlags() const {
     out += " --flat";
   }
   return out;
-}
-
-const char* allocatorKindName(AllocatorKind kind) {
-  return kind == AllocatorKind::kPredictive ? "predictive" : "non-predictive";
 }
 
 std::string FuzzScenario::summary() const {
@@ -128,7 +120,8 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const FuzzSpec& spec) {
   s.node_count = static_cast<std::size_t>(g.uniformInt(2, 8));
 
   const auto n_full = static_cast<std::size_t>(g.uniformInt(2, 6));
-  s.spec.name = "F" + std::to_string(seed);
+  s.spec.name = "F";
+  s.spec.name += std::to_string(seed);
   s.spec.subtasks.resize(n_full);
   for (std::size_t i = 0; i < n_full; ++i) {
     task::SubtaskSpec& st = s.spec.subtasks[i];
@@ -483,15 +476,39 @@ FuzzScenario makeFuzzScenario(std::uint64_t seed, const FuzzSpec& spec) {
 
 FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
                            obs::Observability* obs) {
-  apps::ScenarioConfig sc;
-  sc.node_count = scenario.node_count;
-  sc.seed = scenario.seed;
-  sc.cpu.policy = scenario.sched;
-  sc.net_kind = scenario.net_kind;
-  sc.fabric = scenario.fabric;
+  experiments::EpisodeConfig config;
+  config.scenario.node_count = scenario.node_count;
+  config.scenario.seed = scenario.seed;
+  config.scenario.cpu.policy = scenario.sched;
+  config.scenario.net_kind = scenario.net_kind;
+  config.scenario.fabric = scenario.fabric;
   // The fuzz plan drives per-node targets itself.
-  sc.ambient_load = Utilization::zero();
-  apps::Scenario testbed(sc);
+  config.scenario.ambient_load = Utilization::zero();
+  config.periods = scenario.periods;
+  config.drain_periods = 2.0;
+  config.manager = scenario.manager;
+  // The plane (built only when the scenario drew more than one manager
+  // endpoint, so every single-manager digest is untouched) gossips at a
+  // cadence scaled to the task period; the endpoint detector reuses the
+  // node detector's configuration.
+  config.plane =
+      core::PlaneConfig::scaledTo(scenario.spec.period, scenario.managers);
+  config.manager_detector = scenario.detector;
+  config.workload_mix = scenario.workload_mix;
+  config.contenders = scenario.contenders;
+
+  const TablePattern pattern(scenario.workload_tracks);
+  sim::TraceRecorder trace;
+  // An empty plan builds no injector and no node detector, so the run is
+  // byte-identical to a faultless build. The episode is declared before
+  // the oracle so it is destroyed after it: the oracle's destructor
+  // detaches itself from the simulator, network and injector it watches.
+  experiments::Episode episode(
+      config, kind, {{scenario.spec, &pattern, &scenario.models, 0}},
+      scenario.faults.empty() ? std::nullopt
+                              : std::optional<fault::FaultPlan>(
+                                    scenario.faults));
+  apps::Scenario& testbed = episode.scenario();
 
   for (std::size_t i = 0; i < scenario.node_count; ++i) {
     testbed.cluster()
@@ -511,29 +528,12 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
         });
   }
 
-  core::WorkloadLedger ledger;
+  core::WorkloadLedger& ledger = episode.ledger();
   core::WorkloadLedger::TaskId co_id{};
   if (!scenario.coresident_tracks.empty()) {
     co_id = ledger.registerTask("co-resident");
   }
 
-  const TablePattern pattern(scenario.workload_tracks);
-
-  std::vector<ProcessorId> homes;
-  homes.reserve(scenario.spec.stageCount());
-  for (std::size_t i = 0; i < scenario.spec.stageCount(); ++i) {
-    homes.push_back(
-        ProcessorId{static_cast<std::uint32_t>(i % scenario.node_count)});
-  }
-
-  std::unique_ptr<core::Allocator> allocator;
-  if (kind == AllocatorKind::kPredictive) {
-    allocator = std::make_unique<core::PredictiveAllocator>(scenario.models);
-  } else {
-    allocator = std::make_unique<core::NonPredictiveAllocator>();
-  }
-
-  sim::TraceRecorder trace;
   OracleConfig oracle_config;
   // Recovery budget: twice the detector's worst-case detection latency
   // (timeout plus one declaring tick per retry plus one interval) plus two
@@ -543,120 +543,27 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
              static_cast<double>(scenario.detector.max_retries + 1) *
                  scenario.detector.interval.ms()) +
       2.0 * scenario.spec.period.ms();
-  // Declared before the oracle so it is destroyed after it: the oracle's
-  // destructor detaches itself from the injector it watches.
-  std::unique_ptr<fault::FaultInjector> injector;
   InvariantOracle oracle(oracle_config);
   oracle.watch(testbed.sim());
   oracle.watch(testbed.cluster());
   oracle.watch(testbed.net());
   oracle.watch(ledger);
 
-  core::ResourceManager manager(
-      testbed.runtime(), scenario.spec, task::Placement(homes),
-      [&pattern](std::uint64_t period) { return pattern.at(period); },
-      std::move(allocator), scenario.models, scenario.manager,
-      testbed.streams().get("exec-noise"));
-  manager.attachLedger(ledger);
+  core::ResourceManager& manager = episode.manager();
   manager.attachTrace(trace);
   if (obs != nullptr) {
     manager.attachObs(*obs);
   }
   oracle.watch(manager);
-
-  // Decentralized plane: only built when the scenario drew more than one
-  // manager endpoint, so every single-manager digest is untouched. The
-  // gossip cadence scales with the task period.
-  std::unique_ptr<core::ManagementPlane> plane;
-  if (scenario.managers > 1) {
-    plane = std::make_unique<core::ManagementPlane>(
-        testbed.sim(), testbed.net(), testbed.cluster(),
-        core::PlaneConfig::scaledTo(scenario.spec.period, scenario.managers));
-    plane->adopt(manager);
+  core::ManagementPlane* plane = episode.plane();
+  if (plane != nullptr) {
     if (obs != nullptr) {
       plane->attachObs(*obs);
     }
     oracle.watch(*plane);
   }
 
-  // Fault path: injector compiles the plan into events, the heartbeat
-  // detector drives the manager's failover, and the oracle times recovery.
-  // With an empty plan nothing below exists and the run is byte-identical
-  // to a faultless build.
-  std::unique_ptr<fault::FailureDetector> detector;
-  std::unique_ptr<fault::FailureDetector> mgr_detector;
-  if (!scenario.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        testbed.sim(), testbed.cluster(), &testbed.net(),
-        &testbed.clocks(), scenario.faults);
-    if (plane != nullptr) {
-      injector->setManagerFaultTarget(
-          scenario.managers,
-          [p = plane.get()](std::uint32_t m, bool up) {
-            p->setManagerUp(m, up);
-          });
-    }
-    oracle.watch(*injector);
-    injector->arm();
-    detector = std::make_unique<fault::FailureDetector>(
-        testbed.sim(), testbed.cluster(), testbed.net(),
-        scenario.detector,
-        [&manager, &cluster = testbed.cluster(),
-         p = plane.get()](ProcessorId pid) {
-          // Heavy frame loss can delay acks past the timeout and declare a
-          // live node dead; failover only makes sense for real crashes.
-          if (!cluster.isUp(pid)) {
-            // With a decentralized plane the death routes through it: only
-            // a live active repairs placements, anything else is queued
-            // for the next election.
-            if (p != nullptr) {
-              p->handleNodeFailure(pid);
-            } else {
-              manager.handleNodeFailure(pid);
-            }
-          }
-        },
-        [&manager, &cluster = testbed.cluster(),
-         p = plane.get()](ProcessorId pid) {
-          if (cluster.isUp(pid)) {
-            if (p != nullptr) {
-              p->handleNodeRestart(pid);
-            } else {
-              manager.handleNodeRestart(pid);
-            }
-          }
-        });
-  }
-  // A second, target-mode detector monitors the manager endpoints
-  // themselves and drives elections (satellite of the same heartbeat
-  // machinery the node detector uses).
-  if (plane != nullptr) {
-    std::vector<fault::DetectorTarget> targets;
-    targets.reserve(scenario.managers);
-    for (std::uint32_t mi = 0;
-         mi < static_cast<std::uint32_t>(scenario.managers); ++mi) {
-      targets.push_back(fault::DetectorTarget{
-          mi, plane->hostOf(mi),
-          [p = plane.get(), mi] { return p->endpointReachable(mi); }});
-    }
-    mgr_detector = std::make_unique<fault::FailureDetector>(
-        testbed.sim(), testbed.net(), scenario.detector,
-        std::move(targets),
-        [p = plane.get()](std::uint32_t m) { p->onManagerSuspected(m); },
-        [p = plane.get()](std::uint32_t m) { p->onManagerRecovered(m); });
-  }
-
-  // Multi-pipeline mix: contender flows posting on the network substrate,
-  // contending with the pipeline (and heartbeats) for fabric capacity.
-  // Their draws are pure functions of (contender seed, flow, tick), so
-  // they never perturb any other component's RNG stream.
-  std::unique_ptr<workload::ContenderTraffic> contenders;
-  if (scenario.workload_mix == workload::WorkloadMix::kMulti) {
-    contenders = std::make_unique<workload::ContenderTraffic>(
-        testbed.sim(), testbed.net(), scenario.node_count,
-        scenario.contenders);
-  }
-
+  // Co-resident task posting its per-period workload into the ledger.
   std::unique_ptr<sim::PeriodicActivity> poster;
   if (!scenario.coresident_tracks.empty()) {
     poster = std::make_unique<sim::PeriodicActivity>(
@@ -667,43 +574,47 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
               c < t.size() ? static_cast<std::size_t>(c) : t.size() - 1;
           ledger.post(co_id, DataSize::tracks(t[i]));
         });
+    episode.addActivity([p = poster.get()](SimTime at) { p->start(at); },
+                        [p = poster.get()] { p->stop(); });
   }
 
-  if (contenders != nullptr) {
-    contenders->start();
+  // Fault path: the episode's injector compiles the plan into events, a
+  // heartbeat detector over the nodes drives the manager's failover, and
+  // the oracle times recovery.
+  fault::FaultInjector* injector = episode.injector();
+  std::unique_ptr<fault::FailureDetector> detector;
+  if (injector != nullptr) {
+    oracle.watch(*injector);
+    detector = std::make_unique<fault::FailureDetector>(
+        testbed.sim(), testbed.cluster(), testbed.net(), scenario.detector,
+        [&manager, &cluster = testbed.cluster(), plane](ProcessorId pid) {
+          // Heavy frame loss can delay acks past the timeout and declare a
+          // live node dead; failover only makes sense for real crashes.
+          if (!cluster.isUp(pid)) {
+            // With a decentralized plane the death routes through it: only
+            // a live active repairs placements, anything else is queued
+            // for the next election.
+            if (plane != nullptr) {
+              plane->handleNodeFailure(pid);
+            } else {
+              manager.handleNodeFailure(pid);
+            }
+          }
+        },
+        [&manager, &cluster = testbed.cluster(), plane](ProcessorId pid) {
+          if (cluster.isUp(pid)) {
+            if (plane != nullptr) {
+              plane->handleNodeRestart(pid);
+            } else {
+              manager.handleNodeRestart(pid);
+            }
+          }
+        });
+    episode.addActivity([d = detector.get()](SimTime at) { d->start(at); },
+                        [d = detector.get()] { d->stop(); });
   }
-  manager.start(testbed.sim().now());
-  if (plane != nullptr) {
-    plane->start(testbed.sim().now());
-  }
-  if (poster != nullptr) {
-    poster->start(testbed.sim().now());
-  }
-  if (detector != nullptr) {
-    detector->start(testbed.sim().now());
-  }
-  if (mgr_detector != nullptr) {
-    mgr_detector->start(testbed.sim().now());
-  }
-  testbed.runFor(scenario.spec.period *
-                 static_cast<double>(scenario.periods));
-  manager.stop();
-  if (detector != nullptr) {
-    detector->stop();
-  }
-  if (mgr_detector != nullptr) {
-    mgr_detector->stop();
-  }
-  if (poster != nullptr) {
-    poster->stop();
-  }
-  // The plane keeps gossiping through the drain so every post-event sweep
-  // still sees a fresh view; it stops (closing any open gap) only before
-  // the final sweep.
-  testbed.runFor(scenario.spec.period * 2.0);
-  if (plane != nullptr) {
-    plane->stop();
-  }
+
+  episode.run();
   oracle.sweep();
 
   FuzzCaseResult out;
@@ -794,12 +705,11 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
     appendCount(d, m.suppressed_decision_periods);
     appendHex(d, plane->decisionGapMs());
     appendHex(d, plane->maxStalenessObservedMs());
-    if (mgr_detector != nullptr) {
-      appendCount(d, mgr_detector->heartbeatsSent());
-      appendCount(d, mgr_detector->acksReceived());
-      appendCount(d, mgr_detector->declaredDead());
-      appendCount(d, mgr_detector->declaredRecovered());
-    }
+    const fault::FailureDetector& mgr_detector = *episode.managerDetector();
+    appendCount(d, mgr_detector.heartbeatsSent());
+    appendCount(d, mgr_detector.acksReceived());
+    appendCount(d, mgr_detector.declaredDead());
+    appendCount(d, mgr_detector.declaredRecovered());
   }
   // Fabric and workload-mix sections: keyed on the scenario and absent in
   // the baseline configuration, so every historical digest is untouched.
@@ -815,8 +725,8 @@ FuzzCaseResult runFuzzCase(const FuzzScenario& scenario, AllocatorKind kind,
   if (scenario.workload_mix != workload::WorkloadMix::kPaper) {
     d += workload::workloadMixName(scenario.workload_mix);
     d += ',';
-    if (contenders != nullptr) {
-      appendCount(d, contenders->messagesPosted());
+    if (episode.contenders() != nullptr) {
+      appendCount(d, episode.contenders()->messagesPosted());
     }
   }
 

@@ -51,6 +51,7 @@
 
 #include "check/invariants.hpp"
 #include "core/models.hpp"
+#include "experiments/episode.hpp"
 #include "fault/detector.hpp"
 #include "fault/plan.hpp"
 #include "net/fabric.hpp"
@@ -213,8 +214,11 @@ struct FuzzScenario {
 /// seed shares the same underlying draws.
 FuzzScenario makeFuzzScenario(std::uint64_t seed, const FuzzSpec& spec = {});
 
-enum class AllocatorKind { kPredictive, kNonPredictive };
-const char* allocatorKindName(AllocatorKind kind);
+/// The fuzzer runs each scenario under the episode's two allocator kinds.
+using AllocatorKind = experiments::AlgorithmKind;
+inline std::string allocatorKindName(AllocatorKind kind) {
+  return experiments::algorithmName(kind);
+}
 
 /// Outcome of one scenario run under one allocator.
 struct FuzzCaseResult {

@@ -162,4 +162,13 @@ std::string ArgParser::usage() const {
   return os.str();
 }
 
+bool flagAtLeast(const char* flag, std::int64_t value, std::int64_t floor) {
+  if (value >= floor) {
+    return true;
+  }
+  std::cerr << "--" << flag << " must be at least " << floor << " (got "
+            << value << ")\n";
+  return false;
+}
+
 }  // namespace rtdrm

@@ -59,4 +59,8 @@ class ArgParser {
   bool help_requested_ = false;
 };
 
+/// Range check for a parsed integer flag: prints "--FLAG must be at least
+/// FLOOR (got VALUE)" to std::cerr and returns false unless value >= floor.
+bool flagAtLeast(const char* flag, std::int64_t value, std::int64_t floor);
+
 }  // namespace rtdrm

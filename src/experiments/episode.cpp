@@ -1,9 +1,9 @@
 #include "experiments/episode.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
-#include "fault/injector.hpp"
-#include "fault/plan.hpp"
 
 namespace rtdrm::experiments {
 
@@ -11,20 +11,226 @@ std::string algorithmName(AlgorithmKind kind) {
   return kind == AlgorithmKind::kPredictive ? "predictive" : "non-predictive";
 }
 
+Episode::Episode(const EpisodeConfig& config, AlgorithmKind algorithm,
+                 std::vector<TaskSetMember> tasks,
+                 std::optional<fault::FaultPlan> faults)
+    : config_(config), scenario_(config.scenario), tasks_(std::move(tasks)) {
+  RTDRM_ASSERT(!tasks_.empty());
+  sim::Simulator& sim = scenario_.sim();
+  const SimDuration period = tasks_.front().spec.period;
+
+  // The pipelines read their spec copies at job-submission time, so
+  // scaling the copies mid-run changes the ground truth for subsequent
+  // instances while the models keep predicting the old cost.
+  if (config_.drift_at_period > 0) {
+    sim.scheduleAt(
+        SimTime::zero() + period * static_cast<double>(config_.drift_at_period),
+        [this, scale = config_.drift_cost_scale] {
+          for (TaskSetMember& task : tasks_) {
+            for (auto& st : task.spec.subtasks) {
+              if (st.replicable) {
+                st.cost.alpha_ms *= scale;
+                st.cost.beta_ms *= scale;
+              }
+            }
+          }
+        });
+  }
+
+  // One manager per task. With one task the ledger total is that task's
+  // own workload, so joining it changes nothing.
+  const std::size_t nodes = config_.scenario.node_count;
+  managers_.reserve(tasks_.size());
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    const TaskSetMember& task = tasks_[t];
+    RTDRM_ASSERT(task.pattern != nullptr && task.models != nullptr);
+    // Chain spread round-robin over the nodes, one replica per subtask
+    // (replication is the run-time system's job), staggered per task so
+    // primaries don't pile onto node 0.
+    std::vector<ProcessorId> homes;
+    homes.reserve(task.spec.stageCount());
+    for (std::size_t s = 0; s < task.spec.stageCount(); ++s) {
+      homes.push_back(
+          ProcessorId{static_cast<std::uint32_t>((s + 2 * t) % nodes)});
+    }
+    std::unique_ptr<core::Allocator> allocator;
+    if (algorithm == AlgorithmKind::kPredictive) {
+      allocator = std::make_unique<core::PredictiveAllocator>(*task.models);
+    } else {
+      allocator = std::make_unique<core::NonPredictiveAllocator>(
+          config_.nonpredictive_threshold);
+    }
+    core::ManagerConfig mgr_cfg = config_.manager;
+    // Exactly one manager owns the cluster's utilization sampling window.
+    mgr_cfg.sample_cluster = mgr_cfg.sample_cluster && t == 0;
+    managers_.push_back(std::make_unique<core::ResourceManager>(
+        scenario_.runtime(), task.spec, task::Placement(homes),
+        [pattern = task.pattern, phase = task.phase](std::uint64_t c) {
+          return pattern->at(c + phase);
+        },
+        std::move(allocator), *task.models, mgr_cfg,
+        scenario_.streams().get("exec-noise", t)));
+    managers_.back()->attachLedger(ledger_);
+    if (config_.obs != nullptr) {
+      managers_.back()->attachObs(*config_.obs);
+    }
+  }
+
+  // Decentralized plane (managers > 1 only — the default builds none of
+  // this, keeping the centralized path bit-for-bit): gossiping endpoints,
+  // an optional manager-crash schedule through the fault injector, and a
+  // target-mode heartbeat detector driving elections.
+  if (config_.plane.managers > 1) {
+    RTDRM_ASSERT_MSG(managers_.size() == 1,
+                     "a management plane adopts a single task's manager");
+    plane_ = std::make_unique<core::ManagementPlane>(
+        sim, scenario_.net(), scenario_.cluster(), config_.plane);
+    plane_->adopt(*managers_.front());
+    if (config_.obs != nullptr) {
+      plane_->attachObs(*config_.obs);
+    }
+    if (config_.manager_crash_at_period > 0) {
+      if (!faults.has_value()) {
+        faults.emplace();
+        faults->seed = config_.scenario.seed;
+      }
+      fault::ManagerCrashFault mc;
+      mc.manager = config_.manager_fault_target;
+      mc.at = SimTime::zero() +
+              period * static_cast<double>(config_.manager_crash_at_period);
+      if (config_.manager_restart_after_periods > 0.0) {
+        mc.restart_at = mc.at + period * config_.manager_restart_after_periods;
+      }
+      faults->manager_crashes.push_back(mc);
+    }
+  }
+  if (faults.has_value()) {
+    injector_ = std::make_unique<fault::FaultInjector>(
+        sim, scenario_.cluster(), &scenario_.net(), &scenario_.clocks(),
+        std::move(*faults));
+    if (plane_ != nullptr) {
+      injector_->setManagerFaultTarget(
+          config_.plane.managers,
+          [p = plane_.get()](std::uint32_t m, bool up) {
+            p->setManagerUp(m, up);
+          });
+    }
+    injector_->arm();
+  }
+  if (plane_ != nullptr) {
+    std::vector<fault::DetectorTarget> targets;
+    targets.reserve(config_.plane.managers);
+    for (std::uint32_t mi = 0;
+         mi < static_cast<std::uint32_t>(config_.plane.managers); ++mi) {
+      targets.push_back(fault::DetectorTarget{
+          mi, plane_->hostOf(mi),
+          [p = plane_.get(), mi] { return p->endpointReachable(mi); }});
+    }
+    mgr_detector_ = std::make_unique<fault::FailureDetector>(
+        sim, scenario_.net(), config_.manager_detector, std::move(targets),
+        [p = plane_.get()](std::uint32_t m) { p->onManagerSuspected(m); },
+        [p = plane_.get()](std::uint32_t m) { p->onManagerRecovered(m); });
+  }
+
+  // Multi-pipeline mix: contender flows on the network substrate. Their
+  // draws are pure functions of (contender seed, flow, tick), so they
+  // never perturb any other component's RNG stream.
+  if (config_.workload_mix == workload::WorkloadMix::kMulti) {
+    contenders_ = std::make_unique<workload::ContenderTraffic>(
+        sim, scenario_.net(), nodes, config_.contenders);
+  }
+}
+
+void Episode::addActivity(std::function<void(SimTime)> start,
+                          std::function<void()> stop) {
+  activities_.push_back(Activity{std::move(start), std::move(stop)});
+}
+
+void Episode::run() {
+  run(tasks_.front().spec.period * static_cast<double>(config_.periods));
+}
+
+void Episode::run(SimDuration horizon) {
+  const SimTime now = scenario_.sim().now();
+  if (contenders_ != nullptr) {
+    contenders_->start();
+  }
+  for (auto& m : managers_) {
+    m->start(now);
+  }
+  if (plane_ != nullptr) {
+    plane_->start(now);
+  }
+  for (const Activity& a : activities_) {
+    a.start(now);
+  }
+  if (mgr_detector_ != nullptr) {
+    mgr_detector_->start(now);
+  }
+  scenario_.runFor(horizon);
+  for (auto& m : managers_) {
+    m->stop();
+  }
+  for (const Activity& a : activities_) {
+    a.stop();
+  }
+  if (mgr_detector_ != nullptr) {
+    mgr_detector_->stop();
+  }
+  // The plane keeps gossiping through the drain so every decision still
+  // sees a fresh view; it stops (closing any open gap) only after it.
+  SimDuration slowest = tasks_.front().spec.period;
+  for (const TaskSetMember& task : tasks_) {
+    slowest = std::max(slowest, task.spec.period);
+  }
+  scenario_.runFor(slowest * config_.drain_periods);
+  if (plane_ != nullptr) {
+    plane_->stop();
+  }
+
+  if (config_.obs != nullptr) {
+    obs::MetricsRegistry& reg = config_.obs->metrics;
+    scenario_.sim().exportMetrics(reg);
+    scenario_.net().exportMetrics(reg);
+    scenario_.cluster().exportMetrics(reg);
+    for (const auto& m : managers_) {
+      m->exportMetrics(reg);
+    }
+    if (plane_ != nullptr) {
+      plane_->exportMetrics(reg);
+      mgr_detector_->exportMetrics(reg);
+    }
+  }
+}
+
+EpisodeResult Episode::result(std::size_t t) const {
+  EpisodeResult out;
+  out.metrics = managers_.at(t)->metrics();
+  out.combined = out.metrics.combined(config_.scenario.node_count);
+  out.missed_pct = out.metrics.missedRatio() * 100.0;
+  out.cpu_pct = out.metrics.cpu_utilization.mean() * 100.0;
+  out.net_pct = out.metrics.net_utilization.mean() * 100.0;
+  out.avg_replicas = out.metrics.replicas_per_subtask.mean();
+  if (plane_ != nullptr) {
+    out.decision_gap_ms = plane_->decisionGapMs();
+    out.elections = plane_->elections();
+    out.gossip_rounds = plane_->gossipRounds();
+    out.suppressed_periods = out.metrics.suppressed_decision_periods;
+  }
+  return out;
+}
+
 EpisodeResult runEpisode(const task::TaskSpec& spec,
                          const workload::Pattern& pattern,
                          const core::PredictiveModels& models,
                          AlgorithmKind algorithm,
                          const EpisodeConfig& config) {
-  apps::Scenario scenario(config.scenario);
-
   // Workload mix: kPaper offers the caller's pattern verbatim; the
   // generator mixes swap it (seeded from the scenario seed so paired
   // algorithm runs see identical arrivals); kMulti keeps the pattern and
-  // adds contender flows below.
+  // the episode adds contender flows.
   std::unique_ptr<workload::CorrelatedSurge> surge_gen;
   std::unique_ptr<workload::Pattern> generated;
-  const workload::Pattern* offered = &pattern;
   switch (config.workload_mix) {
     case workload::WorkloadMix::kPaper:
     case workload::WorkloadMix::kMulti:
@@ -32,162 +238,25 @@ EpisodeResult runEpisode(const task::TaskSpec& spec,
     case workload::WorkloadMix::kPareto:
       generated = std::make_unique<workload::ParetoArrivals>(
           config.pareto, config.scenario.seed);
-      offered = generated.get();
       break;
     case workload::WorkloadMix::kSurge:
       surge_gen = std::make_unique<workload::CorrelatedSurge>(
           config.surge, config.surge_sensors, config.scenario.seed);
       generated = surge_gen->fusedPattern();
-      offered = generated.get();
       break;
   }
-  std::unique_ptr<workload::ContenderTraffic> contenders;
-  if (config.workload_mix == workload::WorkloadMix::kMulti) {
-    workload::ContenderConfig cc = config.contenders;
-    cc.seed ^= config.scenario.seed * 0x9e3779b97f4a7c15ULL;
-    contenders = std::make_unique<workload::ContenderTraffic>(
-        scenario.sim(), scenario.net(), config.scenario.node_count, cc);
-  }
+  // Contender flows differ per scenario seed, so replications and sweep
+  // points each see their own.
+  EpisodeConfig cfg = config;
+  cfg.contenders.seed ^= config.scenario.seed * 0x9e3779b97f4a7c15ULL;
 
-  // The pipeline reads the spec at job-submission time, so mutating this
-  // local copy mid-run changes the ground truth for subsequent instances.
-  task::TaskSpec live_spec = spec;
-  if (config.drift_at_period > 0) {
-    scenario.sim().scheduleAt(
-        SimTime::zero() + spec.period *
-                              static_cast<double>(config.drift_at_period),
-        [&live_spec, scale = config.drift_cost_scale] {
-          for (auto& st : live_spec.subtasks) {
-            if (st.replicable) {
-              st.cost.alpha_ms *= scale;
-              st.cost.beta_ms *= scale;
-            }
-          }
-        });
-  }
-
-  // Initial placement: chain spread round-robin over the nodes, one replica
-  // per subtask (replication is the run-time system's job).
-  std::vector<ProcessorId> homes;
-  homes.reserve(spec.stageCount());
-  for (std::size_t s = 0; s < spec.stageCount(); ++s) {
-    homes.push_back(ProcessorId{
-        static_cast<std::uint32_t>(s % config.scenario.node_count)});
-  }
-
-  std::unique_ptr<core::Allocator> allocator;
-  if (algorithm == AlgorithmKind::kPredictive) {
-    allocator = std::make_unique<core::PredictiveAllocator>(models);
-  } else {
-    allocator = std::make_unique<core::NonPredictiveAllocator>(
-        config.nonpredictive_threshold);
-  }
-
-  core::ResourceManager manager(
-      scenario.runtime(), live_spec, task::Placement(homes),
-      [offered](std::uint64_t period) { return offered->at(period); },
-      std::move(allocator), models, config.manager,
-      scenario.streams().get("exec-noise"));
-
-  if (config.obs != nullptr) {
-    manager.attachObs(*config.obs);
-  }
-
-  // Decentralized plane (managers > 1 only — the default builds none of
-  // this, keeping the legacy path bit-for-bit): gossiping endpoints, an
-  // optional manager-crash schedule through the fault injector, and a
-  // target-mode heartbeat detector driving elections.
-  std::unique_ptr<core::ManagementPlane> plane;
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<fault::FailureDetector> mgr_detector;
-  if (config.plane.managers > 1) {
-    plane = std::make_unique<core::ManagementPlane>(
-        scenario.sim(), scenario.net(), scenario.cluster(),
-        config.plane);
-    plane->adopt(manager);
-    if (config.obs != nullptr) {
-      plane->attachObs(*config.obs);
-    }
-    if (config.manager_crash_at_period > 0) {
-      fault::FaultPlan fp;
-      fp.seed = config.scenario.seed;
-      fault::ManagerCrashFault mc;
-      mc.manager = config.manager_fault_target;
-      mc.at = SimTime::zero() +
-              spec.period * static_cast<double>(config.manager_crash_at_period);
-      if (config.manager_restart_after_periods > 0.0) {
-        mc.restart_at =
-            mc.at + spec.period * config.manager_restart_after_periods;
-      }
-      fp.manager_crashes.push_back(mc);
-      injector = std::make_unique<fault::FaultInjector>(
-          scenario.sim(), scenario.cluster(), &scenario.net(),
-          &scenario.clocks(), fp);
-      injector->setManagerFaultTarget(
-          config.plane.managers,
-          [p = plane.get()](std::uint32_t m, bool up) {
-            p->setManagerUp(m, up);
-          });
-      injector->arm();
-    }
-    std::vector<fault::DetectorTarget> targets;
-    targets.reserve(config.plane.managers);
-    for (std::uint32_t mi = 0;
-         mi < static_cast<std::uint32_t>(config.plane.managers); ++mi) {
-      targets.push_back(fault::DetectorTarget{
-          mi, plane->hostOf(mi),
-          [p = plane.get(), mi] { return p->endpointReachable(mi); }});
-    }
-    mgr_detector = std::make_unique<fault::FailureDetector>(
-        scenario.sim(), scenario.net(), config.manager_detector,
-        std::move(targets),
-        [p = plane.get()](std::uint32_t m) { p->onManagerSuspected(m); },
-        [p = plane.get()](std::uint32_t m) { p->onManagerRecovered(m); });
-  }
-
-  if (contenders != nullptr) {
-    contenders->start();
-  }
-  manager.start(scenario.sim().now());
-  if (plane != nullptr) {
-    plane->start(scenario.sim().now());
-    mgr_detector->start(scenario.sim().now());
-  }
-  scenario.runFor(spec.period * static_cast<double>(config.periods));
-  manager.stop();
-  if (mgr_detector != nullptr) {
-    mgr_detector->stop();
-  }
-  scenario.runFor(spec.period * config.drain_periods);
-  if (plane != nullptr) {
-    plane->stop();
-  }
-
-  if (config.obs != nullptr) {
-    scenario.sim().exportMetrics(config.obs->metrics);
-    scenario.net().exportMetrics(config.obs->metrics);
-    scenario.cluster().exportMetrics(config.obs->metrics);
-    manager.exportMetrics(config.obs->metrics);
-    if (plane != nullptr) {
-      plane->exportMetrics(config.obs->metrics);
-      mgr_detector->exportMetrics(config.obs->metrics);
-    }
-  }
-
-  EpisodeResult out;
-  out.metrics = manager.metrics();
-  out.combined = out.metrics.combined(config.scenario.node_count);
-  out.missed_pct = out.metrics.missedRatio() * 100.0;
-  out.cpu_pct = out.metrics.cpu_utilization.mean() * 100.0;
-  out.net_pct = out.metrics.net_utilization.mean() * 100.0;
-  out.avg_replicas = out.metrics.replicas_per_subtask.mean();
-  if (plane != nullptr) {
-    out.decision_gap_ms = plane->decisionGapMs();
-    out.elections = plane->elections();
-    out.gossip_rounds = plane->gossipRounds();
-    out.suppressed_periods = out.metrics.suppressed_decision_periods;
-  }
-  return out;
+  Episode episode(cfg, algorithm,
+                  {TaskSetMember{spec,
+                                 generated != nullptr ? generated.get()
+                                                      : &pattern,
+                                 &models, 0}});
+  episode.run();
+  return episode.result();
 }
 
 std::vector<SweepPoint> runWorkloadSweep(const task::TaskSpec& spec,

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "core/ledger.hpp"
 #include "experiments/episode.hpp"
 
 namespace rtdrm::experiments {
@@ -33,27 +32,28 @@ struct MultiTaskResult {
   double combined = 0.0;
 };
 
+/// The task set runMultiTaskEpisode runs: `count` copies of `spec` named
+/// "<name>#1".."<name>#count", copy t offered `pattern` shifted by
+/// t * `shift` periods.
+std::vector<TaskSetMember> phaseShiftedCopies(
+    const task::TaskSpec& spec, const workload::Pattern& pattern,
+    const core::PredictiveModels& models, std::size_t count,
+    std::uint64_t shift);
+
 /// Runs `task_count` copies of `spec` (independent noise streams, shifted
-/// patterns, staggered initial placements) under the given allocator kind.
+/// patterns, staggered initial placements) under the given allocator kind
+/// for config.episode.periods periods.
 MultiTaskResult runMultiTaskEpisode(const task::TaskSpec& spec,
                                     const workload::Pattern& pattern,
                                     const core::PredictiveModels& models,
                                     AlgorithmKind algorithm,
                                     const MultiTaskConfig& config);
 
-/// One member of a *heterogeneous* task set: its own structure, pattern,
-/// fitted models, and pattern phase. All pointers must outlive the call.
-struct TaskSetMember {
-  const task::TaskSpec* spec = nullptr;
-  const workload::Pattern* pattern = nullptr;
-  const core::PredictiveModels* models = nullptr;
-  std::uint64_t phase = 0;
-};
-
 /// Runs a heterogeneous task set for `horizon` of simulated time on one
-/// shared cluster. Tasks may have different periods; the *first* member's
-/// manager drives the cluster's utilization sampling window, so list the
-/// fastest task first for the freshest observations.
+/// shared cluster, then drains for the slowest member's period times
+/// config.drain_periods. Tasks may have different periods; the *first*
+/// member's manager drives the cluster's utilization sampling window, so
+/// list the fastest task first for the freshest observations.
 MultiTaskResult runTaskSetEpisode(const std::vector<TaskSetMember>& members,
                                   AlgorithmKind algorithm,
                                   const EpisodeConfig& config,

@@ -193,8 +193,8 @@ void ContenderTraffic::post(std::size_t flow, std::uint64_t tick) {
                             ? jitter.lognormalUnitMean(config_.jitter_sigma)
                             : 1.0;
   net::Message m;
-  m.src = ProcessorId{src};
-  m.dst = ProcessorId{dst};
+  m.src = ProcessorId{static_cast<std::uint32_t>(src)};
+  m.dst = ProcessorId{static_cast<std::uint32_t>(dst)};
   m.payload = Bytes::of(std::max(0.0, config_.payload.count() * factor));
   m.tag = "contender";
   net_.send(std::move(m));

@@ -111,8 +111,8 @@ TEST_F(MultiTaskTest, HeterogeneousTaskSetRuns) {
   const workload::Constant e_load(DataSize::tracks(1500.0));
   const workload::Constant s_load(DataSize::tracks(2000.0));
   const std::vector<TaskSetMember> members{
-      {&engage, &e_load, &f_engage.models, 0},
-      {&surveil, &s_load, &f_surveil.models, 0}};
+      {engage, &e_load, &f_engage.models, 0},
+      {surveil, &s_load, &f_surveil.models, 0}};
   const MultiTaskResult r = runTaskSetEpisode(
       members, AlgorithmKind::kPredictive, {}, SimDuration::seconds(20.0));
   ASSERT_EQ(r.tasks.size(), 2u);

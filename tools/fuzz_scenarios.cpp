@@ -64,20 +64,26 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) {
     return parser.helpRequested() ? 0 : 2;
   }
+  // Every count below is cast to an unsigned type, so a negative value
+  // would wrap (or silently mean "uncapped" / "all cores"): reject it
+  // before any seed runs.
+  if (!rtdrm::flagAtLeast("seeds", seeds, 1) ||
+      !rtdrm::flagAtLeast("start-seed", start_seed, 0) ||
+      !rtdrm::flagAtLeast("replay-seed", replay_seed, -1) ||
+      !rtdrm::flagAtLeast("max-subtasks", max_subtasks, 0) ||
+      !rtdrm::flagAtLeast("max-periods", max_periods, 0) ||
+      !rtdrm::flagAtLeast("threads", threads, 0)) {
+    return 1;
+  }
 
-  rtdrm::parallel::setThreads(
-      threads < 0 ? 0u : static_cast<unsigned>(threads));
+  rtdrm::parallel::setThreads(static_cast<unsigned>(threads));
 
   rtdrm::check::FuzzSpec spec;
   for (std::size_t i = 0; i < dims.size(); ++i) {
     spec.set(rtdrm::check::kFuzzDimensions[i].dim, dims[i]);
   }
-  if (max_subtasks > 0) {
-    spec.max_subtasks = static_cast<std::size_t>(max_subtasks);
-  }
-  if (max_periods > 0) {
-    spec.max_periods = static_cast<std::uint64_t>(max_periods);
-  }
+  spec.max_subtasks = static_cast<std::size_t>(max_subtasks);
+  spec.max_periods = static_cast<std::uint64_t>(max_periods);
   spec.flatten_workload = flat;
 
   if (replay_seed >= 0) {

@@ -114,16 +114,6 @@ int parseAlgorithm(const std::string& s, experiments::AlgorithmKind* out) {
   return 1;
 }
 
-/// Prints "--FLAG must be at least FLOOR (got VALUE)" unless value >= floor.
-bool atLeast(const char* flag, std::int64_t value, std::int64_t floor) {
-  if (value >= floor) {
-    return true;
-  }
-  std::cerr << "--" << flag << " must be at least " << floor << " (got "
-            << value << ")\n";
-  return false;
-}
-
 /// The flags `episode` and `sweep` share: the episode length, the worker
 /// budget, node scheduling, the period lever, the network substrate and the
 /// workload mix. Every default is read from a default-constructed
@@ -182,10 +172,10 @@ class ScenarioFlags {
   /// assembled config (set cfg->plane first). On a bad value prints why
   /// and returns false, before any model is fitted.
   bool apply(experiments::EpisodeConfig* cfg) const {
-    if (!atLeast("periods", periods_, 1) ||
-        !atLeast("segments", segments_, 1) ||
-        !atLeast("port-buffer", port_buffer_, 1) ||
-        !atLeast("contenders", contenders_, 0)) {
+    if (!flagAtLeast("periods", periods_, 1) ||
+        !flagAtLeast("segments", segments_, 1) ||
+        !flagAtLeast("port-buffer", port_buffer_, 1) ||
+        !flagAtLeast("contenders", contenders_, 0)) {
       return false;
     }
     if (!node::parseSchedPolicy(sched_, &cfg->scenario.cpu.policy)) {
@@ -294,9 +284,9 @@ int cmdEpisode(int argc, const char* const* argv) {
   if (parseAlgorithm(algorithm, &kind) != 0) {
     return 1;
   }
-  if (!atLeast("managers", managers, 1) ||
-      !atLeast("manager-fault", manager_fault, 0) ||
-      !atLeast("manager-fault-target", manager_fault_target, 0)) {
+  if (!flagAtLeast("managers", managers, 1) ||
+      !flagAtLeast("manager-fault", manager_fault, 0) ||
+      !flagAtLeast("manager-fault-target", manager_fault_target, 0)) {
     return 1;
   }
   if (manager_fault_target >= managers) {
@@ -389,7 +379,7 @@ int cmdSweep(int argc, const char* const* argv) {
     return args.helpRequested() ? 0 : 1;
   }
   experiments::SweepConfig cfg;
-  if (!atLeast("replications", replications, 1) ||
+  if (!flagAtLeast("replications", replications, 1) ||
       !flags.apply(&cfg.episode)) {
     return 1;
   }
